@@ -1,16 +1,19 @@
 """Command-line front end: solve, split-system, oracle, bench.
 
-Exit codes: 0 success, 2 parse error (message plus caret), 3 unsupported
-degree.  ``--json`` emits one output record per input (pretty-printed for a
-single expression, one line per record when reading stdin).  ``--tolerance``
-only changes when a residual warning is printed; it never changes solver
-internals.
+Exit codes: 0 success, 1 standard output closed by its reader (the rest of
+the output is dropped without a traceback), 2 parse error (message plus
+caret), 3 unsupported degree.  ``--json`` emits one output record per input
+(pretty-printed for a single expression, one line per record when reading
+stdin).  ``--tolerance`` only changes when a residual warning is printed; it
+never changes solver internals.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import random
 import statistics
 import sys
@@ -24,6 +27,7 @@ from .poly_core import (
     RootSet,
     depress_cubic,
     depress_quartic,
+    evaluate,
 )
 from .split_solver import (
     UnsupportedDegreeError,
@@ -38,6 +42,7 @@ from .split_solver import (
 )
 
 _EXIT_OK = 0
+_EXIT_BROKEN_PIPE = 1
 _EXIT_PARSE = 2
 _EXIT_DEGREE = 3
 
@@ -113,10 +118,11 @@ def _print_parse_error(text: str, err: ParseError) -> None:
 
 def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None:
     scale = max(1.0, max(abs(c) for c in p.coefficients))
+    # A non-finite residual (nan compares false) is over any threshold.
     offenders = [
         z
         for z, r in zip(rs.roots, rs.residuals)
-        if r > tolerance * scale * max(1.0, abs(z)) ** p.degree
+        if not math.isfinite(r) or r > tolerance * scale * max(1.0, abs(z)) ** p.degree
     ]
     for z in offenders:
         print(
@@ -242,9 +248,7 @@ def _oracle_one(text: str, args, batch: bool) -> int:
     result = find_roots(p, OracleConfig())
     rs = RootSet(
         roots=result.roots,
-        residuals=tuple(
-            abs(_eval(p, z)) for z in result.roots
-        ),
+        residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
         branch_tags=tuple("oracle" for _ in result.roots),
     )
     rows = _ordered(rs)
@@ -271,13 +275,6 @@ def _oracle_one(text: str, args, batch: bool) -> int:
     _emit(record, args.json, batch, lines)
     _residual_warnings(p, rs, args.tolerance)
     return _EXIT_OK
-
-
-def _eval(p: RealPolynomial, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p.coefficients):
-        acc = acc * z + c
-    return acc
 
 
 def cmd_oracle(args) -> int:
@@ -458,7 +455,7 @@ def cmd_bench(args) -> int:
                 elapsed = time.perf_counter_ns() - t0
                 times.append(elapsed)
                 roots = result.roots
-                residual = max(abs(_eval(p, z)) for z in roots)
+                residual = max(abs(evaluate(p, z)) for z in roots)
                 if residual > max_residual:
                     max_residual = residual
             rows.append(
@@ -568,7 +565,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader must show up here, not at exit
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Python flushes stdout again
+        # at exit; point it at devnull so that flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

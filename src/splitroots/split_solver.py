@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .poly_core import (
@@ -34,7 +35,6 @@ from .poly_core import (
     depress_cubic,
     depress_quartic,
     horner_with_derivative,
-    undepress,
 )
 
 @dataclass(frozen=True)
@@ -191,42 +191,41 @@ def _snap_real(z: complex) -> complex:
 
 
 def _polish_root(coeffs_rev: tuple[float, ...], z: complex, scale: float) -> tuple[complex, float]:
-    # Newton steps, each kept only if the residual drops.
+    # Newton steps, each kept only if the residual drops, then the real-axis snap.
     residual = abs(horner_with_derivative(coeffs_rev, z)[0])
-    if residual <= _POLISH_TRIGGER * scale:
-        return z, residual
-    for _ in range(8):
-        value, deriv = horner_with_derivative(coeffs_rev, z)
-        if deriv == 0:
-            break
-        candidate = z - value / deriv
-        r = abs(horner_with_derivative(coeffs_rev, candidate)[0])
-        if r < residual:
-            z, residual = candidate, r
-        else:
-            break
-        if residual <= _POLISH_TRIGGER * scale:
-            break
+    if residual > _POLISH_TRIGGER * scale:
+        for _ in range(8):
+            value, deriv = horner_with_derivative(coeffs_rev, z)
+            if deriv == 0:
+                break
+            candidate = z - value / deriv
+            r = abs(horner_with_derivative(coeffs_rev, candidate)[0])
+            if r < residual:
+                z, residual = candidate, r
+            else:
+                break
+            if residual <= _POLISH_TRIGGER * scale:
+                break
+    snapped = _snap_real(z)
+    if snapped is not z:
+        residual = abs(horner_with_derivative(coeffs_rev, snapped)[0])
+        z = snapped
+    if z.imag == 0.0 or z.real == 0.0:
+        z = complex(z.real + 0.0, z.imag + 0.0)  # normalize -0.0 components
     return z, residual
 
 
 def _finish(
     coeffs_rev: tuple[float, ...],
     scale: float,
-    roots: list[complex],
-    tags: list[str],
+    roots: Sequence[complex],
+    tags: Sequence[str],
 ) -> RootSet:
     # Polish, snap to the real axis, and record final residuals.
     out_roots: list[complex] = []
     out_residuals: list[float] = []
     for z in roots:
         z, residual = _polish_root(coeffs_rev, z, scale)
-        snapped = _snap_real(z)
-        if snapped is not z:
-            residual = abs(horner_with_derivative(coeffs_rev, snapped)[0])
-            z = snapped
-        if z.imag == 0.0 or z.real == 0.0:
-            z = complex(z.real + 0.0, z.imag + 0.0)  # normalize -0.0 components
         out_roots.append(z)
         out_residuals.append(residual)
     return RootSet(roots=tuple(out_roots), residuals=tuple(out_residuals), branch_tags=tuple(tags))
@@ -276,32 +275,22 @@ def solve_quadratic(a: float, b: float) -> RootSet:
     return _finish((1.0, a, b), scale, roots, tags)
 
 
-def solve_depressed_cubic(dc: DepressedCubic) -> RootSet:
-    """Roots of ``w**3 + a*w + b`` via the omega ansatz.
+def _omega_cubic(a: float, b: float) -> tuple[list[complex], list[str]]:
+    """Unpolished roots of ``w**3 + a*w + b`` and their branch tags.
 
-    On the nontrivial branch ``y = -x - a/(3x)`` the system collapses to
+    On the nontrivial branch ``y = -x - a/(3x)`` the omega system collapses to
     ``x^6 - b*x^3 - a^3/27 = 0``; one quadratic-formula branch for ``x^3``
     plus its three cube roots already generate all three roots through
     ``w = (1 - omega)*x - omega*a/(3x)``.
     """
-    a, b = dc.a, dc.b
-    scale = max(1.0, abs(a), abs(b))
-    coeffs_rev = (1.0, 0.0, a, b)
-
     if a == 0.0:
         if b == 0.0:
-            zero = complex(0.0, 0.0)
-            return RootSet(
-                roots=(zero, zero, zero),
-                residuals=(0.0, 0.0, 0.0),
-                branch_tags=("triple-zero", "triple-zero", "triple-zero"),
-            )
+            return [0j, 0j, 0j], ["triple-zero"] * 3
         # w**3 = -b: take the real cube root exactly, rotate for the pair.
         r = _real_cbrt(-b)
         rot = complex(-0.5, math.sqrt(3.0) / 2.0)
         roots = [complex(r, 0.0), r * rot, r * rot.conjugate()]
-        tags = ["cube-root-0", "cube-root-1", "cube-root-2"]
-        return _finish(coeffs_rev, scale, roots, tags)
+        return roots, ["cube-root-0", "cube-root-1", "cube-root-2"]
 
     disc = 0.25 * b * b + a * a * a / 27.0
     sqrt_disc = cmath.sqrt(complex(disc, 0.0))
@@ -314,17 +303,17 @@ def solve_depressed_cubic(dc: DepressedCubic) -> RootSet:
         # Both branches vanished: b ~ 0 and a**3 underflowed, so the equation
         # is effectively w*(w**2 + a) = 0; solve that form directly.
         r = cmath.sqrt(complex(-a, 0.0))
-        roots = [complex(0.0, 0.0), r, -r]
-        tags = [f"near-origin-degenerate:{k}" for k in range(3)]
-        return _finish(coeffs_rev, scale, roots, tags)
+        return [complex(0.0, 0.0), r, -r], [f"near-origin-degenerate:{k}" for k in range(3)]
 
     third_a = a / 3.0
-    roots = []
-    tags = []
-    for k, x in enumerate(_cube_roots(x_cubed)):
-        roots.append(ONE_MINUS_OMEGA * x - OMEGA * (third_a / x))
-        tags.append(f"omega-branch-{k}:{branch}")
-    return _finish(coeffs_rev, scale, roots, tags)
+    roots = [ONE_MINUS_OMEGA * x - OMEGA * (third_a / x) for x in _cube_roots(x_cubed)]
+    return roots, [f"omega-branch-{k}:{branch}" for k in range(3)]
+
+
+def solve_depressed_cubic(dc: DepressedCubic) -> RootSet:
+    """Roots of ``w**3 + a*w + b`` via the omega ansatz, polished against it."""
+    a, b = dc.a, dc.b
+    return _finish((1.0, 0.0, a, b), max(1.0, abs(a), abs(b)), *_omega_cubic(a, b))
 
 
 def _refine_resolvent_root(r2: float, r1: float, r0: float, t: float) -> float:
@@ -360,9 +349,11 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     b/(4x) + a/2``; substituting back makes ``t = x**2`` a root of the
     resolvent cubic.  Each real positive resolvent root yields a full
     candidate set of four roots (both signs of ``x``, both signs of ``y``);
-    the set with the smallest total residual is kept.  A negative ``y**2``
-    continues ``y`` to the imaginary axis, producing the pair of real roots
-    ``x -+ sqrt(-y**2)``.
+    the set with the smallest total residual is kept.  The largest root's
+    set is not kept on sight: from a near-double root it can meet the
+    residual bound here and still miss it against the undepressed quartic.
+    A negative ``y**2`` continues ``y`` to the imaginary axis, producing the
+    pair of real roots ``x -+ sqrt(-y**2)``.
     """
     a, b, c = dq.a, dq.b, dq.c
     scale = max(1.0, abs(a), abs(b), abs(c))
@@ -380,12 +371,20 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
         return _finish(coeffs_rev, scale, roots, tags)
 
     _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
-    resolvent = depress_cubic(RealPolynomial((r0, r1, r2, 1.0)))
-    t_set = undepress(solve_depressed_cubic(resolvent), resolvent.shift)
+    if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
+    # Depress the resolvent by t = u - r2/3 (the arithmetic of depress_cubic)
+    # and polish its omega roots there, as solve_depressed_cubic would.
+    s = r2 / 3.0
+    s2 = s * s
+    ra = r1 - 3.0 * s2
+    rb = r0 - s * (ra + s2)
+    r_coeffs, r_scale = (1.0, 0.0, ra, rb), max(1.0, abs(ra), abs(rb))
+    t_roots = [_polish_root(r_coeffs, u, r_scale)[0] - s for u in _omega_cubic(ra, rb)[0]]
 
     best: tuple[list[complex], list[str]] | None = None
     best_total = math.inf
-    for j, t in enumerate(t_set.roots):
+    for j, t in enumerate(t_roots):
         if t.imag != 0.0 and abs(t.imag) > 1e-7 * max(1.0, abs(t.real)):
             continue
         t_real = _refine_resolvent_root(r2, r1, r0, t.real)
@@ -409,23 +408,21 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     if best is None:
         # No usable resolvent root survived the filters; fall back to the
         # numerically best one treated as a complex square.
-        t_best = max(t_set.roots, key=abs)
-        x = cmath.sqrt(t_best)
+        x = cmath.sqrt(max(t_roots, key=abs))
         y2 = x * x + b / (4.0 * x) + 0.5 * a
         y = cmath.sqrt(y2)
-        roots = [x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y]
-        tags = ["resolvent-fallback"] * 4
-        return _finish(coeffs_rev, scale, roots, tags)
-
-    return _finish(coeffs_rev, scale, best[0], best[1])
+        best = ([x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y], ["resolvent-fallback"] * 4)
+    return _finish(coeffs_rev, scale, *best)
 
 
 def solve(p: RealPolynomial) -> RootSet:
     """Roots of ``p`` (degrees 1-4) with residuals against ``p`` itself.
 
-    Cubics and quartics are depressed first, solved through the split
-    systems, and translated back; every root is then re-polished against the
-    original polynomial.
+    Cubics and quartics are depressed first and solved through the split
+    systems; their roots are translated back and polished once more against
+    the original polynomial.  A monic quadratic's roots are returned as
+    :func:`solve_quadratic` gives them: it already polished and scored them
+    against the same coefficients.
     """
     degree = p.degree
     if degree == 0:
@@ -433,22 +430,24 @@ def solve(p: RealPolynomial) -> RootSet:
     if degree >= 5:
         raise UnsupportedDegreeError(degree)
 
-    monic = p.monic().coefficients
+    monic_p = p.monic()
+    monic = monic_p.coefficients
     if degree == 1:
-        inner = RootSet(
-            roots=(complex(-monic[0], 0.0),),
-            residuals=(0.0,),
-            branch_tags=("linear",),
-        )
+        roots, tags = [complex(-monic[0], 0.0)], ("linear",)
     elif degree == 2:
         inner = solve_quadratic(monic[1], monic[0])
+        if monic_p is p:
+            return inner
+        roots, tags = inner.roots, inner.branch_tags
     elif degree == 3:
-        dc = depress_cubic(p)
-        inner = undepress(solve_depressed_cubic(dc), dc.shift)
+        dep = depress_cubic(p)
+        inner = solve_depressed_cubic(dep)
     else:
-        dq = depress_quartic(p)
-        inner = undepress(solve_depressed_quartic(dq), dq.shift)
+        dep = depress_quartic(p)
+        inner = solve_depressed_quartic(dep)
+    if degree >= 3:
+        roots, tags = [z - dep.shift for z in inner.roots], inner.branch_tags
 
     coeffs_rev = tuple(reversed(p.coefficients))
     scale = max(1.0, max(abs(co) for co in p.coefficients))
-    return _finish(coeffs_rev, scale, list(inner.roots), list(inner.branch_tags))
+    return _finish(coeffs_rev, scale, roots, tags)

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import splitroots
 from splitroots.cli import OutputRecord, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -169,6 +173,17 @@ class TestTextOutput:
         # warnings must not contaminate stdout
         assert "warning:" not in captured.out
 
+    def test_non_finite_residual_warns(self, capsys):
+        # The linear coefficient 1e160 overflows its square: the roots come
+        # out as 0 and -inf, and the -inf root's residual is nan, which
+        # compares false against any bound.
+        big = "1" + "0" * 160
+        code = main(["solve", f"z^2 + {big}z + 1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "-inf  (residual nan" in captured.out
+        assert captured.err == "warning: root -inf exceeds the residual threshold 1e-08\n"
+
     def test_bench_text_table(self, capsys):
         assert main(["bench", "--n", "3", "--degree", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -221,3 +236,26 @@ class TestBenchDeterminism:
         res1 = [row["max_residual"] for row in first["rows"]]
         res2 = [row["max_residual"] for row in second["rows"]]
         assert res1 == res2
+
+
+class TestClosedPipe:
+    def test_closed_reader_exits_quietly(self):
+        src = str(pathlib.Path(splitroots.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splitroots.cli", "solve", "--json"],
+                input="z^2-1\nz^3-1\n" * 200,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitroots import split_solver
 from splitroots.oracle import find_roots, max_pairing_distance
 from splitroots.poly_core import (
     DepressedCubic,
@@ -407,3 +408,76 @@ class TestDepressionIntegration:
             [z + dep.shift for z in outer.roots], inner.roots
         )
         assert paired <= 1e-8
+
+
+class TestSolverStructure:
+    # The names solve() must look up in split_solver's globals on each path.
+    LAYERS = (
+        "depress_cubic",
+        "depress_quartic",
+        "solve_quadratic",
+        "solve_depressed_cubic",
+        "solve_depressed_quartic",
+    )
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((2.0, -3.0, 1.0), {"solve_quadratic"}),
+            ((2.0, -3.0, 4.0), {"solve_quadratic"}),
+            ((-6.0, 11.0, -6.0, 1.0), {"depress_cubic", "solve_depressed_cubic"}),
+            ((1.0, -3.0, 0.5, 2.0, 1.0), {"depress_quartic", "solve_depressed_quartic"}),
+            ((-9.0, -10.0, -2.0, 2.0, 3.0), {"depress_quartic", "solve_depressed_quartic"}),
+        ],
+    )
+    def test_solve_calls_each_layer_once(self, monkeypatch, coeffs, expected):
+        calls = dict.fromkeys(self.LAYERS, 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in self.LAYERS:
+            monkeypatch.setattr(split_solver, name, counting(name, getattr(split_solver, name)))
+        split_solver.solve(RealPolynomial(coeffs))
+        assert calls == {name: int(name in expected) for name in self.LAYERS}
+
+    def test_quartic_avoids_near_double_largest_resolvent_root(self):
+        # From the log-uniform benchmark corpus.  The depressed quartic's
+        # resolvent has a near-double largest root (about 5.9e10) and a
+        # simple one (about 3.7e4).  The set from the largest root meets the
+        # residual bound in the depressed variable but collapses the pair of
+        # roots near +-0.0131i onto the real axis; the set with the smallest
+        # total residual comes from the simple root and is accurate.
+        p = RealPolynomial(
+            (
+                -157.34404847118566,
+                -0.3683719752577149,
+                -913025.2838858893,
+                -0.0029740104485788364,
+                3.857901984494974e-06,
+            )
+        )
+        rs = solve(p)
+        assert max_pairing_distance(rs.roots, find_roots(p).roots) <= 1e-7
+        for z in rs.roots:
+            assert abs(evaluate(p, z)) <= _residual_bound(p, z)
+
+    def test_monic_quadratic_returns_solve_quadratic_result(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            a, b = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            rs = solve(RealPolynomial((b, a, 1.0)))
+            inner = solve_quadratic(a, b)
+            assert rs.roots == inner.roots
+            assert rs.residuals == inner.residuals
+            assert rs.branch_tags == inner.branch_tags
+
+    def test_non_monic_quadratic_residuals_against_source(self):
+        p = RealPolynomial((5.0, -2.0, 3.0))
+        rs = solve(p)
+        for z, r in zip(rs.roots, rs.residuals):
+            assert r == abs(evaluate(p, z))
