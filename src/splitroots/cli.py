@@ -2,10 +2,14 @@
 
 Exit codes: 0 success, 1 standard output closed by its reader (the rest of
 the output is dropped without a traceback), 2 parse error (message plus
-caret), 3 unsupported degree.  ``--json`` emits one output record per input
-(pretty-printed for a single expression, one line per record when reading
-stdin).  ``--tolerance`` only changes when a residual warning is printed; it
-never changes solver internals.
+caret), 3 unsupported degree, 4 no finite result (the solver gave up on an
+overflowing intermediate, or a ``--json`` record would hold a non-finite
+number; nothing is printed for that input).  ``--json`` emits one strict
+JSON output record per input (pretty-printed for a single expression, one
+line per record when reading stdin).  In batch mode an input that fails
+does not stop the lines after it; the first failure's code is returned.
+``--tolerance`` only changes when a residual warning is printed; it never
+changes solver internals.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ _EXIT_OK = 0
 _EXIT_BROKEN_PIPE = 1
 _EXIT_PARSE = 2
 _EXIT_DEGREE = 3
+_EXIT_NOT_FINITE = 4
 
 _S2_NOTE = (
     "note: the imaginary equation is printed as y^3 - 3x^2y - ay, the negation "
@@ -131,14 +136,22 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
         )
 
 
-def _emit(record: OutputRecord, as_json: bool, batch: bool, text_lines: list[str]) -> None:
-    if as_json:
-        if batch:
-            print(json.dumps(record.to_dict()))
-        else:
-            print(json.dumps(record.to_dict(), indent=2))
-    else:
+def _emit(record: OutputRecord, as_json: bool, batch: bool, text_lines: list[str]) -> int:
+    if not as_json:
         print("\n".join(text_lines))
+        return _EXIT_OK
+    try:
+        # Strict JSON has no NaN or Infinity; a record holding one is not printed.
+        text = json.dumps(record.to_dict(), indent=None if batch else 2, allow_nan=False)
+    except ValueError:
+        print(
+            f"error: the record for {record.polynomial} holds a non-finite number, "
+            "which JSON cannot represent",
+            file=sys.stderr,
+        )
+        return _EXIT_NOT_FINITE
+    print(text)
+    return _EXIT_OK
 
 
 def _split_residual_diagnostics(p: RealPolynomial, rows) -> list[dict] | None:
@@ -185,6 +198,9 @@ def _solve_one(text: str, args, batch: bool) -> int:
     except UnsupportedDegreeError as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_DEGREE
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return _EXIT_NOT_FINITE
 
     rows = _ordered(rs)
     echo = format_polynomial(p, variable)
@@ -227,9 +243,10 @@ def _solve_one(text: str, args, batch: bool) -> int:
         roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
         diagnostics=diagnostics or None,
     )
-    _emit(record, args.json, batch, lines)
-    _residual_warnings(p, rs, args.tolerance)
-    return _EXIT_OK
+    code = _emit(record, args.json, batch, lines)
+    if code == _EXIT_OK:
+        _residual_warnings(p, rs, args.tolerance)
+    return code
 
 
 def cmd_solve(args) -> int:
@@ -272,9 +289,10 @@ def _oracle_one(text: str, args, batch: bool) -> int:
             "cluster_radii": list(result.cluster_radii),
         },
     )
-    _emit(record, args.json, batch, lines)
-    _residual_warnings(p, rs, args.tolerance)
-    return _EXIT_OK
+    code = _emit(record, args.json, batch, lines)
+    if code == _EXIT_OK:
+        _residual_warnings(p, rs, args.tolerance)
+    return code
 
 
 def cmd_oracle(args) -> int:
@@ -433,8 +451,7 @@ def cmd_split_system(args) -> int:
         roots=[],
         diagnostics=diagnostics or None,
     )
-    _emit(record, args.json, batch=False, text_lines=lines)
-    return _EXIT_OK
+    return _emit(record, args.json, batch=False, text_lines=lines)
 
 
 def cmd_bench(args) -> int:

@@ -108,12 +108,12 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
             j = skip_ws(i)
             if j < n and text[j] == "^":
                 i = skip_ws(j + 1)
-                if i == n or not text[i].isdigit():
+                if i == n or not text[i].isdecimal():
                     raise ParseError(
                         here(i), "exponent must be a nonnegative integer", "bad-exponent"
                     )
                 digits_start = i
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
                 exponent = int(text[digits_start:i])
                 if exponent > _MAX_EXPONENT:

@@ -85,8 +85,8 @@ class RootSet:
     def __post_init__(self) -> None:
         if not (len(self.roots) == len(self.residuals) == len(self.branch_tags)):
             raise ValueError("roots, residuals and branch_tags must have equal length")
-        object.__setattr__(self, "roots", tuple(complex(z) for z in self.roots))
-        object.__setattr__(self, "residuals", tuple(float(r) for r in self.residuals))
+        object.__setattr__(self, "roots", tuple(map(complex, self.roots)))
+        object.__setattr__(self, "residuals", tuple(map(float, self.residuals)))
         object.__setattr__(self, "branch_tags", tuple(self.branch_tags))
 
     def __len__(self) -> int:
@@ -109,6 +109,18 @@ def horner_with_derivative(coeffs_rev: tuple[float, ...], z: complex) -> tuple[c
         deriv = deriv * z + value
         value = value * z + c
     return value, deriv
+
+
+def horner_abs(coeffs_rev: tuple[float, ...], z: complex) -> float:
+    """``|p(z)|`` from the value recurrence of :func:`horner_with_derivative` alone.
+
+    The operations are those of :func:`evaluate` in the same order, so the
+    result equals ``abs(evaluate(p, z))`` exactly.
+    """
+    value = 0j
+    for c in coeffs_rev:
+        value = value * z + c
+    return abs(value)
 
 
 def derivative(p: RealPolynomial) -> RealPolynomial:

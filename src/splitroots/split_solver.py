@@ -34,6 +34,7 @@ from .poly_core import (
     RootSet,
     depress_cubic,
     depress_quartic,
+    horner_abs,
     horner_with_derivative,
 )
 
@@ -184,32 +185,32 @@ def quartic_resolvent_coefficients(a: float, b: float, c: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def _snap_real(z: complex) -> complex:
-    if z.imag != 0.0 and abs(z.imag) <= _IMAG_SNAP * max(1.0, abs(z.real)):
-        return complex(z.real, 0.0)
-    return z
-
-
-def _polish_root(coeffs_rev: tuple[float, ...], z: complex, scale: float) -> tuple[complex, float]:
+def _polish_root(
+    coeffs_rev: tuple[float, ...], z: complex, scale: float, residual: float | None = None
+) -> tuple[complex, float]:
     # Newton steps, each kept only if the residual drops, then the real-axis snap.
-    residual = abs(horner_with_derivative(coeffs_rev, z)[0])
+    # ``residual``, when given, is |p(z)| already computed by the caller.  A
+    # kept step's evaluation supplies the value and derivative for the next.
+    if residual is None:
+        residual = horner_abs(coeffs_rev, z)
     if residual > _POLISH_TRIGGER * scale:
+        value, deriv = horner_with_derivative(coeffs_rev, z)
         for _ in range(8):
-            value, deriv = horner_with_derivative(coeffs_rev, z)
             if deriv == 0:
                 break
             candidate = z - value / deriv
-            r = abs(horner_with_derivative(coeffs_rev, candidate)[0])
+            candidate_value, candidate_deriv = horner_with_derivative(coeffs_rev, candidate)
+            r = abs(candidate_value)
             if r < residual:
                 z, residual = candidate, r
+                value, deriv = candidate_value, candidate_deriv
             else:
                 break
             if residual <= _POLISH_TRIGGER * scale:
                 break
-    snapped = _snap_real(z)
-    if snapped is not z:
-        residual = abs(horner_with_derivative(coeffs_rev, snapped)[0])
-        z = snapped
+    if z.imag != 0.0 and abs(z.imag) <= _IMAG_SNAP * max(1.0, abs(z.real)):
+        z = complex(z.real, 0.0)
+        residual = horner_abs(coeffs_rev, z)
     if z.imag == 0.0 or z.real == 0.0:
         z = complex(z.real + 0.0, z.imag + 0.0)  # normalize -0.0 components
     return z, residual
@@ -220,12 +221,16 @@ def _finish(
     scale: float,
     roots: Sequence[complex],
     tags: Sequence[str],
+    residuals: Sequence[float] | None = None,
 ) -> RootSet:
-    # Polish, snap to the real axis, and record final residuals.
+    # Polish, snap to the real axis, and record final residuals.  ``residuals``,
+    # when given, are the roots' |p(z)| already computed by the caller.
+    if residuals is None:
+        residuals = [None] * len(roots)
     out_roots: list[complex] = []
     out_residuals: list[float] = []
-    for z in roots:
-        z, residual = _polish_root(coeffs_rev, z, scale)
+    for z, residual in zip(roots, residuals):
+        z, residual = _polish_root(coeffs_rev, z, scale, residual)
         out_roots.append(z)
         out_residuals.append(residual)
     return RootSet(roots=tuple(out_roots), residuals=tuple(out_residuals), branch_tags=tuple(tags))
@@ -382,7 +387,7 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     r_coeffs, r_scale = (1.0, 0.0, ra, rb), max(1.0, abs(ra), abs(rb))
     t_roots = [_polish_root(r_coeffs, u, r_scale)[0] - s for u in _omega_cubic(ra, rb)[0]]
 
-    best: tuple[list[complex], list[str]] | None = None
+    best: tuple[list[complex], list[str], list[float] | None] | None = None
     best_total = math.inf
     for j, t in enumerate(t_roots):
         if t.imag != 0.0 and abs(t.imag) > 1e-7 * max(1.0, abs(t.real)):
@@ -400,10 +405,11 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
                 z = complex(x, 0.0) + y_sign * 1j * y
                 candidate_roots.append(z)
                 candidate_tags.append(f"resolvent-root-{j}:{x_label}:{y_label}")
-        total = sum(abs(horner_with_derivative(coeffs_rev, z)[0]) for z in candidate_roots)
+        candidate_residuals = [horner_abs(coeffs_rev, z) for z in candidate_roots]
+        total = sum(candidate_residuals)
         if total < best_total:
             best_total = total
-            best = (candidate_roots, candidate_tags)
+            best = (candidate_roots, candidate_tags, candidate_residuals)
 
     if best is None:
         # No usable resolvent root survived the filters; fall back to the
@@ -411,7 +417,11 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
         x = cmath.sqrt(max(t_roots, key=abs))
         y2 = x * x + b / (4.0 * x) + 0.5 * a
         y = cmath.sqrt(y2)
-        best = ([x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y], ["resolvent-fallback"] * 4)
+        best = (
+            [x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y],
+            ["resolvent-fallback"] * 4,
+            None,
+        )
     return _finish(coeffs_rev, scale, *best)
 
 
@@ -430,12 +440,11 @@ def solve(p: RealPolynomial) -> RootSet:
     if degree >= 5:
         raise UnsupportedDegreeError(degree)
 
-    monic_p = p.monic()
-    monic = monic_p.coefficients
     if degree == 1:
-        roots, tags = [complex(-monic[0], 0.0)], ("linear",)
+        roots, tags = [complex(-p.monic().coefficients[0], 0.0)], ("linear",)
     elif degree == 2:
-        inner = solve_quadratic(monic[1], monic[0])
+        monic_p = p.monic()
+        inner = solve_quadratic(monic_p.coefficients[1], monic_p.coefficients[0])
         if monic_p is p:
             return inner
         roots, tags = inner.roots, inner.branch_tags
@@ -449,5 +458,5 @@ def solve(p: RealPolynomial) -> RootSet:
         roots, tags = [z - dep.shift for z in inner.roots], inner.branch_tags
 
     coeffs_rev = tuple(reversed(p.coefficients))
-    scale = max(1.0, max(abs(co) for co in p.coefficients))
+    scale = max(1.0, max(map(abs, p.coefficients)))
     return _finish(coeffs_rev, scale, roots, tags)

@@ -70,6 +70,25 @@ class TestExitCodes:
         assert main(["split-system", "z^2 + 1", "--x=0"]) == 2
         assert "--x and --y" in capsys.readouterr().err
 
+    def test_overflowing_resolvent_is_4(self, capsys):
+        # The cubic coefficient 1e155 overflows the quartic's resolvent.
+        big = "1" + "0" * 155
+        assert main(["solve", f"z^4 + {big}z^3 + 1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: resolvent coefficients must be finite")
+        assert "Traceback" not in captured.err
+
+    def test_non_finite_json_record_is_4(self, capsys):
+        # The roots are 0 and -inf, the latter with residual nan: text mode
+        # prints them, but no strict JSON record can hold them.
+        big = "1" + "0" * 160
+        assert main(["solve", "--json", f"z^2 + {big}z + 1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the record for z^2 + ")
+        assert "non-finite" in captured.err
+
 
 class TestJsonRecords:
     def test_solve_record_round_trip(self, capsys):
@@ -218,6 +237,29 @@ class TestBatchMode:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(records) == 2
         assert all(r["method"] == "oracle" for r in records)
+
+    def test_overflowing_line_reports_4_and_batch_goes_on(self, capsys, monkeypatch):
+        big = "1" + "0" * 155
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"z^4 + {big}z^3 + 1\nz^2 - 1\n"))
+        code = main(["solve"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "resolvent coefficients must be finite" in captured.err
+        assert captured.out.startswith("polynomial: z^2 - 1\n")
+
+    def test_json_batch_is_strict_json(self, capsys, monkeypatch):
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        big = "1" + "0" * 160
+        lines = ["z^2 - 1", f"z^2 + {big}z + 1", f"z^4 + {big}z^3 + 1", "z^3 - 7z + 6"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        code = main(["solve", "--json"])
+        captured = capsys.readouterr()
+        assert code == 4
+        records = [json.loads(line, parse_constant=reject) for line in captured.out.splitlines()]
+        assert [r["polynomial"] for r in records] == ["z^2 - 1", "z^3 - 7z + 6"]
+        assert captured.err.count("error:") == 2
 
     def test_parse_error_line_reports_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 & 3\nz^2 - 1\n"))

@@ -82,6 +82,7 @@ class TestParseErrors:
             ("5", "empty-input", 0),
             ("z - z", "empty-input", 0),
             ("x^", "bad-exponent", 1),
+            ("x^²", "bad-exponent", 2),
             ("x + y", "multiple-variables", 4),
             ("x^99999", "overflow", 2),
             ("9" * 400, "overflow", 0),

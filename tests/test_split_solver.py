@@ -17,6 +17,8 @@ from splitroots.poly_core import (
     depress_cubic,
     depress_quartic,
     evaluate,
+    horner_abs,
+    horner_with_derivative,
 )
 from splitroots.split_solver import (
     OMEGA,
@@ -164,6 +166,20 @@ class TestDepressedQuartic:
         for z in solve_depressed_quartic(DepressedQuartic(a=a, b=b, c=c)).roots:
             assert abs(evaluate(p, z)) <= _residual_bound(p, z)
 
+    def test_residuals_are_exact(self):
+        # Residuals of the kept candidate set are carried into the finish
+        # rather than recomputed; they must still be |p(z)| to the bit.
+        rng = random.Random(37)
+        for k in range(400):
+            if k % 2:
+                a, b, c = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(3))
+            else:
+                a, b, c = (rng.uniform(-10.0, 10.0) for _ in range(3))
+            p = RealPolynomial((c, b, a, 0.0, 1.0))
+            rs = solve_depressed_quartic(DepressedQuartic(a=a, b=b, c=c))
+            for z, r in zip(rs.roots, rs.residuals):
+                assert r == abs(evaluate(p, z))
+
 
 class TestSolveDispatch:
     def test_linear(self):
@@ -209,6 +225,39 @@ class TestSolveDispatch:
         rs = solve(p)
         for z, r in zip(rs.roots, rs.residuals):
             assert r == abs(evaluate(p, z))
+
+    def test_residuals_are_against_source_polynomial_on_every_path(self, monkeypatch):
+        # Resolvent-path quartics and wide-magnitude cubics and quartics,
+        # with and without Newton steps: every residual is |p(z)| exactly.
+        full_passes = [0]
+
+        def counting(coeffs_rev, z):
+            full_passes[0] += 1
+            return horner_with_derivative(coeffs_rev, z)
+
+        monkeypatch.setattr(split_solver, "horner_with_derivative", counting)
+        rng = random.Random(41)
+        polished = unpolished = resolvent = 0
+        for k in range(600):
+            degree = 3 + k % 2
+            if k % 3:
+                coeffs = tuple(
+                    rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+                    for _ in range(degree + 1)
+                )
+            else:
+                coeffs = tuple(rng.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,)
+            p = RealPolynomial(coeffs)
+            full_passes[0] = 0
+            rs = solve(p)
+            if full_passes[0]:
+                polished += 1
+            else:
+                unpolished += 1
+            resolvent += rs.branch_tags[0].startswith("resolvent-root")
+            for z, r in zip(rs.roots, rs.residuals):
+                assert r == abs(evaluate(p, z))
+        assert polished >= 50 and unpolished >= 50 and resolvent >= 100
 
     @given(
         st.integers(min_value=2, max_value=4),
@@ -481,3 +530,86 @@ class TestSolverStructure:
         rs = solve(p)
         for z, r in zip(rs.roots, rs.residuals):
             assert r == abs(evaluate(p, z))
+
+
+class TestHornerPasses:
+    def test_horner_abs_matches_evaluate_exactly(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            degree = rng.randint(1, 6)
+            coeffs = tuple(
+                rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 12.0)
+                for _ in range(degree + 1)
+            )
+            p = RealPolynomial(coeffs)
+            z = complex(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+            coeffs_rev = tuple(reversed(p.coefficients))
+            assert horner_abs(coeffs_rev, z) == abs(evaluate(p, z))
+            assert horner_abs(coeffs_rev, z) == abs(horner_with_derivative(coeffs_rev, z)[0])
+
+    def test_quartic_without_newton_steps_evaluates_each_point_once(self, monkeypatch):
+        # 3 resolvent roots + 4 candidate residuals + 4 outer residuals + one
+        # real-axis snap re-check.  The kept candidate set's four residuals
+        # used to be evaluated again by the inner finish: 16 passes, not 12.
+        passes = {"full": 0, "value": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                passes[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            split_solver, "horner_with_derivative", counting("full", horner_with_derivative)
+        )
+        monkeypatch.setattr(split_solver, "horner_abs", counting("value", horner_abs))
+        rs = solve(RealPolynomial((1.0, -3.0, 0.5, 2.0, 1.0)))
+        assert rs.branch_tags[0].startswith("resolvent-root")
+        assert passes == {"full": 0, "value": 12}
+
+    @pytest.mark.parametrize("scale, rejected", [(2.0, 0), (0.0, 1)])
+    def test_polish_root_makes_one_full_pass_per_candidate(self, monkeypatch, scale, rejected):
+        # z^2 - 2 from 1e-3 off sqrt(2).  With scale 2 the steps stop at the
+        # trigger; with scale 0 they stop at the first step that does not
+        # lower the residual, which costs one more pass.
+        calls = []
+        value_passes = [0]
+
+        def recording(coeffs_rev, z):
+            value, deriv = horner_with_derivative(coeffs_rev, z)
+            calls.append((z, value, deriv))
+            return value, deriv
+
+        def counting(coeffs_rev, z):
+            value_passes[0] += 1
+            return horner_abs(coeffs_rev, z)
+
+        monkeypatch.setattr(split_solver, "horner_with_derivative", recording)
+        monkeypatch.setattr(split_solver, "horner_abs", counting)
+        z0 = complex(math.sqrt(2.0) + 1e-3, 0.0)
+        z, residual = split_solver._polish_root((1.0, 0.0, -2.0), z0, scale)
+        assert value_passes[0] == 1
+        # One full pass at the start point; every later one is at the Newton
+        # candidate built from the pass before it, so no point is evaluated twice.
+        assert calls[0][0] == z0
+        for (z_prev, value, deriv), (z_next, _, _) in zip(calls, calls[1:]):
+            assert z_next == z_prev - value / deriv
+        accepted = len(calls) - 1 - rejected
+        assert accepted >= 2
+        for (_, before, _), (_, after, _) in zip(calls[:accepted], calls[1 : accepted + 1]):
+            assert abs(after) < abs(before)
+        if rejected:
+            assert abs(calls[-1][1]) >= residual
+        else:
+            assert residual <= 1e-12 * scale
+        assert (z, residual) == (calls[accepted][0], abs(calls[accepted][1]))
+
+    def test_polish_root_takes_a_known_residual(self, monkeypatch):
+        def forbidden(coeffs_rev, z):
+            raise AssertionError("the residual was already known")
+
+        monkeypatch.setattr(split_solver, "horner_abs", forbidden)
+        z0 = complex(math.sqrt(2.0), 0.0)
+        known = abs(evaluate(RealPolynomial((-2.0, 0.0, 1.0)), z0))
+        assert split_solver._polish_root((1.0, 0.0, -2.0), z0, 2.0, known) == (z0, known)
