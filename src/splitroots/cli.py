@@ -23,6 +23,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .oracle import OracleConfig, find_roots, max_pairing_distance
 from .parser import ParseError, format_polynomial, parse_polynomial_with_variable
@@ -34,6 +35,7 @@ from .poly_core import (
     evaluate,
 )
 from .split_solver import (
+    SplitResidual,
     UnsupportedDegreeError,
     cubic_naive_split_residual,
     cubic_omega_split_residual,
@@ -55,6 +57,63 @@ _S2_NOTE = (
     "note: the imaginary equation is printed as y^3 - 3x^2y - ay, the negation "
     "of Im(p(x+iy)); both vanish at the same points"
 )
+
+
+def _naive_reduction(a: float, b: float) -> tuple[float, float, float]:
+    red = naive_cubic_reduction(a, b)
+    return red.c3, red.c1, red.c0
+
+
+class _System(NamedTuple):
+    """A split system, evaluated as ``residual(*coefficients, x, y)``."""
+
+    name: str
+    ansatz: str
+    residual: Callable[..., SplitResidual]
+    # root -> (x, y); the default is the split over omega = i
+    decompose: Callable[[complex], tuple[float, float]] = lambda w: (w.real, w.imag)
+    note: str | None = None
+
+
+class _Reduction(NamedTuple):
+    label: str
+    key: str
+    compute: Callable[..., tuple[float, ...]]
+    in_solve: bool  # also printed by ``solve --show-depressed``
+
+
+class _Degree(NamedTuple):
+    depress: Callable | None
+    removed_term: str | None
+    systems: tuple[_System, ...]  # print order; the solver's own system is last
+    reduction: _Reduction | None
+
+
+# Per-degree facts of the split: coefficients are the depressed (or, for a
+# quadratic, monic) ones, highest power first without the leading 1.
+_DEGREES = {
+    2: _Degree(None, None, (_System("S1", "z = x + iy", quadratic_split_residual),), None),
+    3: _Degree(
+        depress_cubic,
+        "quadratic",
+        (
+            _System("S2", "naive, z = x + iy", cubic_naive_split_residual, note=_S2_NOTE),
+            _System(
+                "S3",
+                "z = x + omega*y, omega = (1 + i*sqrt(3))/2",
+                cubic_omega_split_residual,
+                omega_decompose,
+            ),
+        ),
+        _Reduction("naive reduction (c3, c1, c0)", "naive_reduction", _naive_reduction, False),
+    ),
+    4: _Degree(
+        depress_quartic,
+        "cubic",
+        (_System("S4", "z = x + iy", quartic_split_residual),),
+        _Reduction("resolvent", "resolvent_coefficients", quartic_resolvent_coefficients, True),
+    ),
+}
 
 
 @dataclass
@@ -115,10 +174,15 @@ def _ordered(rs: RootSet) -> list[tuple[complex, float, str]]:
     return rows
 
 
-def _print_parse_error(text: str, err: ParseError) -> None:
-    print(f"error: {err.message} (column {err.position})", file=sys.stderr)
-    print(f"  {text}", file=sys.stderr)
-    print("  " + " " * err.position + "^", file=sys.stderr)
+def _parse(text: str):
+    """``(polynomial, variable)``, or ``(None, None)`` after printing the error."""
+    try:
+        return parse_polynomial_with_variable(text)
+    except ParseError as err:
+        print(f"error: {err.message} (column {err.position})", file=sys.stderr)
+        print(f"  {text}", file=sys.stderr)
+        print("  " + " " * err.position + "^", file=sys.stderr)
+        return None, None
 
 
 def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None:
@@ -154,32 +218,37 @@ def _emit(record: OutputRecord, as_json: bool, batch: bool, text_lines: list[str
     return _EXIT_OK
 
 
-def _split_residual_diagnostics(p: RealPolynomial, rows) -> list[dict] | None:
-    """Per-root residual of the split system matching p's degree."""
-    degree = p.degree
-    monic = p.monic().coefficients
-    out = []
-    if degree == 2:
-        a, b = monic[1], monic[0]
-        for z, _, _ in rows:
-            sr = quadratic_split_residual(a, b, z.real, z.imag)
-            out.append({"system": "S1", "real_part": sr.real_part, "imag_part": sr.imag_part})
-    elif degree == 3:
-        dc = depress_cubic(p)
-        for z, _, _ in rows:
-            w = z + dc.shift
-            x, y = omega_decompose(w)
-            sr = cubic_omega_split_residual(dc.a, dc.b, x, y)
-            out.append({"system": "S3", "real_part": sr.real_part, "imag_part": sr.imag_part})
-    elif degree == 4:
-        dq = depress_quartic(p)
-        for z, _, _ in rows:
-            w = z + dq.shift
-            sr = quartic_split_residual(dq.a, dq.b, dq.c, w.real, w.imag)
-            out.append({"system": "S4", "real_part": sr.real_part, "imag_part": sr.imag_part})
-    else:
-        return None
-    return out
+def _report(p, variable, method, rs, rows, head, tail, diagnostics, args, batch) -> int:
+    """Print one input's roots (``rows``) as text or a record, then warn on residuals."""
+    echo = format_polynomial(p, variable)
+    lines = [f"polynomial: {echo}", f"method: {method}", *head, "roots:"]
+    for z, residual, tag in rows:
+        lines.append(f"  {_fmt_root(z)}  (residual {residual:.3e}, branch {tag})")
+    record = OutputRecord(
+        polynomial=echo,
+        method=method,
+        roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
+        diagnostics=diagnostics or None,
+    )
+    code = _emit(record, args.json, batch, lines + tail)
+    if code == _EXIT_OK:
+        _residual_warnings(p, rs, args.tolerance)
+    return code
+
+
+def _fmt_fields(values: dict) -> str:
+    return ", ".join([f"{k} = {_fmt_num(v)}" for k, v in values.items()])
+
+
+def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
+    sr = system.residual(*coeffs, x, y)
+    return {"system": system.name, "real_part": sr.real_part, "imag_part": sr.imag_part}
+
+
+def _add_reduction(reduction: _Reduction, coeffs, lines: list[str], diagnostics: dict) -> None:
+    values = list(reduction.compute(*coeffs))
+    lines.append(f"{reduction.label}: " + ", ".join(_fmt_num(v) for v in values))
+    diagnostics[reduction.key] = values
 
 
 # ---------------------------------------------------------------------------
@@ -188,78 +257,44 @@ def _split_residual_diagnostics(p: RealPolynomial, rows) -> list[dict] | None:
 
 
 def _solve_one(text: str, args, batch: bool) -> int:
-    try:
-        p, variable = parse_polynomial_with_variable(text)
-    except ParseError as err:
-        _print_parse_error(text, err)
+    p, variable = _parse(text)
+    if p is None:
         return _EXIT_PARSE
     try:
         rs = solve(p)
-    except UnsupportedDegreeError as err:
+    except ValueError as err:  # UnsupportedDegreeError included
         print(f"error: {err}", file=sys.stderr)
-        return _EXIT_DEGREE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _EXIT_NOT_FINITE
+        return _EXIT_DEGREE if isinstance(err, UnsupportedDegreeError) else _EXIT_NOT_FINITE
 
     rows = _ordered(rs)
-    echo = format_polynomial(p, variable)
-    lines = [f"polynomial: {echo}", "method: split-closed-form", "roots:"]
-    for z, residual, tag in rows:
-        lines.append(f"  {_fmt_root(z)}  (residual {residual:.3e}, branch {tag})")
-
+    tail: list[str] = []
     diagnostics: dict = {}
-    if args.show_depressed and p.degree in (3, 4):
-        if p.degree == 3:
-            dc = depress_cubic(p)
-            dep = {"a": dc.a, "b": dc.b, "shift": dc.shift}
-            lines.append(
-                f"depressed: a = {_fmt_num(dc.a)}, b = {_fmt_num(dc.b)}, "
-                f"shift = {_fmt_num(dc.shift)}"
-            )
-        else:
-            dq = depress_quartic(p)
-            dep = {"a": dq.a, "b": dq.b, "c": dq.c, "shift": dq.shift}
-            lines.append(
-                f"depressed: a = {_fmt_num(dq.a)}, b = {_fmt_num(dq.b)}, "
-                f"c = {_fmt_num(dq.c)}, shift = {_fmt_num(dq.shift)}"
-            )
-            resolvent = quartic_resolvent_coefficients(dq.a, dq.b, dq.c)
-            diagnostics["resolvent_coefficients"] = list(resolvent)
-            lines.append("resolvent: " + ", ".join(_fmt_num(c) for c in resolvent))
+    spec = _DEGREES.get(p.degree) if args.show_depressed else None
+    if spec is not None and spec.depress is not None:
+        dep = dict(vars(spec.depress(p)))
+        *coeffs, shift = dep.values()
+        tail.append("depressed: " + _fmt_fields(dep))
+        if spec.reduction.in_solve:
+            _add_reduction(spec.reduction, coeffs, tail, diagnostics)
         diagnostics["depressed_coefficients"] = dep
-        split_residuals = _split_residual_diagnostics(p, rows)
-        if split_residuals is not None:
-            diagnostics["split_residuals"] = split_residuals
+        system = spec.systems[-1]
+        diagnostics["split_residuals"] = [
+            _split_entry(system, coeffs, *system.decompose(z + shift)) for z, _, _ in rows
+        ]
     if args.oracle:
-        orc = find_roots(p)
-        distance = max_pairing_distance(rs.roots, orc.roots)
+        distance = max_pairing_distance(rs.roots, find_roots(p).roots)
         diagnostics["oracle_max_pairing_distance"] = distance
-        lines.append(f"oracle max pairing distance: {distance:.3e}")
-
-    record = OutputRecord(
-        polynomial=echo,
-        method="split-closed-form",
-        roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
-        diagnostics=diagnostics or None,
-    )
-    code = _emit(record, args.json, batch, lines)
-    if code == _EXIT_OK:
-        _residual_warnings(p, rs, args.tolerance)
-    return code
+        tail.append(f"oracle max pairing distance: {distance:.3e}")
+    return _report(p, variable, "split-closed-form", rs, rows, (), tail, diagnostics, args, batch)
 
 
 def cmd_solve(args) -> int:
-    if args.expr is not None:
-        return _solve_one(args.expr, args, batch=False)
-    return _run_batch(args, _solve_one)
+    return _run(args, _solve_one)
 
 
 def _oracle_one(text: str, args, batch: bool) -> int:
-    try:
-        p, variable = parse_polynomial_with_variable(text)
-    except ParseError as err:
-        _print_parse_error(text, err)
+    p, variable = _parse(text)
+    if p is None:
         return _EXIT_PARSE
 
     result = find_roots(p, OracleConfig())
@@ -268,40 +303,26 @@ def _oracle_one(text: str, args, batch: bool) -> int:
         residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
         branch_tags=tuple("oracle" for _ in result.roots),
     )
-    rows = _ordered(rs)
-    echo = format_polynomial(p, variable)
-    lines = [
-        f"polynomial: {echo}",
-        "method: oracle",
+    head = [
         f"converged: {'true' if result.converged else 'false'}",
         f"iterations: {result.iterations_used}",
-        "roots:",
     ]
-    for z, residual, tag in rows:
-        lines.append(f"  {_fmt_root(z)}  (residual {residual:.3e}, branch {tag})")
-    record = OutputRecord(
-        polynomial=echo,
-        method="oracle",
-        roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
-        diagnostics={
-            "converged": result.converged,
-            "iterations_used": result.iterations_used,
-            "cluster_radii": list(result.cluster_radii),
-        },
-    )
-    code = _emit(record, args.json, batch, lines)
-    if code == _EXIT_OK:
-        _residual_warnings(p, rs, args.tolerance)
-    return code
+    diagnostics = {
+        "converged": result.converged,
+        "iterations_used": result.iterations_used,
+        "cluster_radii": list(result.cluster_radii),
+    }
+    return _report(p, variable, "oracle", rs, _ordered(rs), head, [], diagnostics, args, batch)
 
 
 def cmd_oracle(args) -> int:
+    return _run(args, _oracle_one)
+
+
+def _run(args, one) -> int:
+    """``one`` on the expression argument, or on each nonblank stdin line."""
     if args.expr is not None:
-        return _oracle_one(args.expr, args, batch=False)
-    return _run_batch(args, _oracle_one)
-
-
-def _run_batch(args, one) -> int:
+        return one(args.expr, args, batch=False)
     exit_code = _EXIT_OK
     pending_separator = False
     for line in sys.stdin:
@@ -320,11 +341,8 @@ def _run_batch(args, one) -> int:
 
 
 def cmd_split_system(args) -> int:
-    text = args.expr
-    try:
-        p, variable = parse_polynomial_with_variable(text)
-    except ParseError as err:
-        _print_parse_error(text, err)
+    p, variable = _parse(args.expr)
+    if p is None:
         return _EXIT_PARSE
 
     degree = p.degree
@@ -341,116 +359,49 @@ def cmd_split_system(args) -> int:
         print("error: --x and --y must be given together", file=sys.stderr)
         return _EXIT_PARSE
 
+    spec = _DEGREES[degree]
     monic = p.monic().coefficients
     echo = format_polynomial(p, variable)
     lines = [f"polynomial: {echo}"]
     diagnostics: dict = {}
 
-    shift = 0.0
-    if degree == 2:
-        a, b = monic[1], monic[0]
-    elif degree == 3:
-        if monic[2] != 0.0:
-            if not args.auto_depress:
-                print(
-                    "error: polynomial is not depressed (nonzero quadratic term); "
-                    "rerun with --auto-depress",
-                    file=sys.stderr,
-                )
-                return _EXIT_PARSE
-            dc = depress_cubic(p)
-            a, b, shift = dc.a, dc.b, dc.shift
-            lines.append(
-                f"auto-depressed: a = {_fmt_num(a)}, b = {_fmt_num(b)}, "
-                f"shift = {_fmt_num(shift)}"
-            )
-            diagnostics["depressed_coefficients"] = {"a": a, "b": b, "shift": shift}
-        else:
-            a, b = monic[1], monic[0]
+    if spec.depress is None or monic[-2] == 0.0:
+        # Highest power first, without the leading 1 and the term depression removes.
+        coeffs = monic[-3 if spec.depress else -2 :: -1]
+    elif args.auto_depress:
+        dep = dict(vars(spec.depress(p)))
+        *coeffs, _ = dep.values()
+        lines.append("auto-depressed: " + _fmt_fields(dep))
+        diagnostics["depressed_coefficients"] = dep
     else:
-        if monic[3] != 0.0:
-            if not args.auto_depress:
-                print(
-                    "error: polynomial is not depressed (nonzero cubic term); "
-                    "rerun with --auto-depress",
-                    file=sys.stderr,
-                )
-                return _EXIT_PARSE
-            dq = depress_quartic(p)
-            a, b, c, shift = dq.a, dq.b, dq.c, dq.shift
-            lines.append(
-                f"auto-depressed: a = {_fmt_num(a)}, b = {_fmt_num(b)}, "
-                f"c = {_fmt_num(c)}, shift = {_fmt_num(shift)}"
-            )
-            diagnostics["depressed_coefficients"] = {"a": a, "b": b, "c": c, "shift": shift}
-        else:
-            a, b, c = monic[2], monic[1], monic[0]
+        print(
+            f"error: polynomial is not depressed (nonzero {spec.removed_term} term); "
+            "rerun with --auto-depress",
+            file=sys.stderr,
+        )
+        return _EXIT_PARSE
 
     split_residuals: list[dict] = []
     if args.x is not None:
-        x, y = args.x, args.y
-        lines.append(f"at: x = {_fmt_num(x)}, y = {_fmt_num(y)}")
-        if degree == 2:
-            sr = quadratic_split_residual(a, b, x, y)
+        lines.append(f"at: x = {_fmt_num(args.x)}, y = {_fmt_num(args.y)}")
+        for system in spec.systems:
+            entry = _split_entry(system, coeffs, args.x, args.y)
             lines += [
-                "system S1 (z = x + iy):",
-                f"  real part: {_fmt_num(sr.real_part)}",
-                f"  imag part: {_fmt_num(sr.imag_part)}",
+                f"system {system.name} ({system.ansatz}):",
+                f"  real part: {_fmt_num(entry['real_part'])}",
+                f"  imag part: {_fmt_num(entry['imag_part'])}",
             ]
-            split_residuals.append(
-                {"system": "S1", "real_part": sr.real_part, "imag_part": sr.imag_part}
-            )
-        elif degree == 3:
-            naive = cubic_naive_split_residual(a, b, x, y)
-            omega = cubic_omega_split_residual(a, b, x, y)
-            lines += [
-                "system S2 (naive, z = x + iy):",
-                f"  real part: {_fmt_num(naive.real_part)}",
-                f"  imag part: {_fmt_num(naive.imag_part)}",
-                f"  {_S2_NOTE}",
-                "system S3 (z = x + omega*y, omega = (1 + i*sqrt(3))/2):",
-                f"  real part: {_fmt_num(omega.real_part)}",
-                f"  imag part: {_fmt_num(omega.imag_part)}",
-            ]
-            split_residuals.append(
-                {"system": "S2", "real_part": naive.real_part, "imag_part": naive.imag_part}
-            )
-            split_residuals.append(
-                {"system": "S3", "real_part": omega.real_part, "imag_part": omega.imag_part}
-            )
-        else:
-            sr = quartic_split_residual(a, b, c, x, y)
-            lines += [
-                "system S4 (z = x + iy):",
-                f"  real part: {_fmt_num(sr.real_part)}",
-                f"  imag part: {_fmt_num(sr.imag_part)}",
-            ]
-            split_residuals.append(
-                {"system": "S4", "real_part": sr.real_part, "imag_part": sr.imag_part}
-            )
+            if system.note:
+                lines.append(f"  {system.note}")
+            split_residuals.append(entry)
 
-    if args.reduce:
-        if degree == 3:
-            red = naive_cubic_reduction(a, b)
-            lines.append(
-                f"naive reduction (c3, c1, c0): {_fmt_num(red.c3)}, "
-                f"{_fmt_num(red.c1)}, {_fmt_num(red.c0)}"
-            )
-            diagnostics["naive_reduction"] = [red.c3, red.c1, red.c0]
-        elif degree == 4:
-            resolvent = quartic_resolvent_coefficients(a, b, c)
-            lines.append("resolvent: " + ", ".join(_fmt_num(v) for v in resolvent))
-            diagnostics["resolvent_coefficients"] = list(resolvent)
+    if args.reduce and spec.reduction is not None:
+        _add_reduction(spec.reduction, coeffs, lines, diagnostics)
 
     if split_residuals:
         diagnostics["split_residuals"] = split_residuals
 
-    record = OutputRecord(
-        polynomial=echo,
-        method="split-closed-form",
-        roots=[],
-        diagnostics=diagnostics or None,
-    )
+    record = OutputRecord(echo, "split-closed-form", [], diagnostics or None)
     return _emit(record, args.json, batch=False, text_lines=lines)
 
 
@@ -502,6 +453,17 @@ def cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse reports a ValueError from these as "invalid <name> value", exit 2.
+    def positive_int(text: str) -> int:
+        if int(text) < 1:
+            raise ValueError(text)
+        return int(text)
+
+    def nonnegative_float(text: str) -> float:
+        if not float(text) >= 0.0:  # nan compares false
+            raise ValueError(text)
+        return float(text)
+
     parser = argparse.ArgumentParser(
         prog="splitroots",
         description="Closed-form roots of degree 2-4 real polynomials via "
@@ -511,10 +473,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON output record")
     common.add_argument(
         "--tolerance",
-        type=float,
+        type=nonnegative_float,
         default=1e-8,
         metavar="T",
-        help="residual-report threshold (warnings only; default 1e-8)",
+        help="residual-report threshold, a number >= 0, not nan (warnings only; default 1e-8)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -570,7 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="micro-benchmark closed-form solve against the oracle",
     )
-    p_bench.add_argument("--n", type=int, default=10000, help="polynomials per degree")
+    p_bench.add_argument(
+        "--n", type=positive_int, default=10000, help="polynomials per degree, at least 1"
+    )
     p_bench.add_argument(
         "--degree", type=int, choices=(2, 3, 4), default=None, help="restrict to one degree"
     )

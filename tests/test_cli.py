@@ -89,6 +89,30 @@ class TestExitCodes:
         assert captured.err.startswith("error: the record for z^2 + ")
         assert "non-finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--n", "0"],
+            ["bench", "--n", "-1"],
+            ["solve", "z^2 - 1", "--tolerance", "nan"],
+            ["solve", "z^2 - 1", "--tolerance", "-1"],
+        ],
+        ids=["n-zero", "n-negative", "tolerance-nan", "tolerance-negative"],
+    )
+    def test_out_of_range_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_option_limits_are_inclusive(self, capsys):
+        assert main(["bench", "--n", "1", "--degree", "2"]) == 0
+        assert main(["solve", "z^2 - 1", "--tolerance", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestJsonRecords:
     def test_solve_record_round_trip(self, capsys):
@@ -179,6 +203,22 @@ class TestTextOutput:
         main(["solve", "w^3 - 6w^2 + 11w - 6", "--show-depressed"])
         out = capsys.readouterr().out
         assert "depressed: a = -1, b = 0, shift = -2" in out
+
+    def test_show_depressed_depresses_once_per_line(self, capsys, monkeypatch):
+        from splitroots import cli
+
+        calls = []
+        for degree in (3, 4):
+            spec = cli._DEGREES[degree]
+
+            def counting(p, depress=spec.depress):
+                calls.append(p.degree)
+                return depress(p)
+
+            monkeypatch.setitem(cli._DEGREES, degree, spec._replace(depress=counting))
+        monkeypatch.setattr("sys.stdin", io.StringIO("z^3 - 6z^2 + 11z - 6\nz^4 - 3z^3 + 1\n"))
+        assert main(["solve", "--show-depressed", "--oracle"]) == 0
+        assert calls == [3, 4]
 
     def test_default_threshold_no_warning(self, capsys):
         main(["solve", "z^3 - 7z + 6"])
