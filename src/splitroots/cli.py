@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 standard output closed by its reader (the rest of
 the output is dropped without a traceback), 2 parse error (message plus
 caret), 3 unsupported degree, 4 no finite result (the solver gave up on an
-overflowing intermediate, or a ``--json`` record would hold a non-finite
-number; nothing is printed for that input).  ``--json`` emits one strict
+overflowing intermediate, the oracle returned a non-finite root, or a
+``--json`` record would hold a non-finite number; nothing is printed for
+that input).  ``--json`` emits one strict
 JSON output record per input (pretty-printed for a single expression, one
 line per record when reading stdin).  In batch mode an input that fails
 does not stop the lines after it; the first failure's code is returned.
@@ -15,6 +16,7 @@ changes solver internals.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -200,10 +202,7 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
         )
 
 
-def _emit(record: OutputRecord, as_json: bool, batch: bool, text_lines: list[str]) -> int:
-    if not as_json:
-        print("\n".join(text_lines))
-        return _EXIT_OK
+def _emit_json(record: OutputRecord, batch: bool) -> int:
     try:
         # Strict JSON has no NaN or Infinity; a record holding one is not printed.
         text = json.dumps(record.to_dict(), indent=None if batch else 2, allow_nan=False)
@@ -219,18 +218,26 @@ def _emit(record: OutputRecord, as_json: bool, batch: bool, text_lines: list[str
 
 
 def _report(p, variable, method, rs, rows, head, tail, diagnostics, args, batch) -> int:
-    """Print one input's roots (``rows``) as text or a record, then warn on residuals."""
+    """Print one input's roots (``rows``) as a record or as text, then warn on residuals.
+
+    ``head`` and ``tail`` are the text lines around the roots, read only in
+    text mode; under ``--json`` the callers pass ``None`` and build no text.
+    """
     echo = format_polynomial(p, variable)
-    lines = [f"polynomial: {echo}", f"method: {method}", *head, "roots:"]
-    for z, residual, tag in rows:
-        lines.append(f"  {_fmt_root(z)}  (residual {residual:.3e}, branch {tag})")
-    record = OutputRecord(
-        polynomial=echo,
-        method=method,
-        roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
-        diagnostics=diagnostics or None,
-    )
-    code = _emit(record, args.json, batch, lines + tail)
+    if args.json:
+        record = OutputRecord(
+            polynomial=echo,
+            method=method,
+            roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
+            diagnostics=diagnostics or None,
+        )
+        code = _emit_json(record, batch)
+    else:
+        lines = [f"polynomial: {echo}", f"method: {method}", *head, "roots:"]
+        for z, residual, tag in rows:
+            lines.append(f"  {_fmt_root(z)}  (residual {residual:.3e}, branch {tag})")
+        print("\n".join(lines + tail))
+        code = _EXIT_OK
     if code == _EXIT_OK:
         _residual_warnings(p, rs, args.tolerance)
     return code
@@ -245,10 +252,21 @@ def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
     return {"system": system.name, "real_part": sr.real_part, "imag_part": sr.imag_part}
 
 
-def _add_reduction(reduction: _Reduction, coeffs, lines: list[str], diagnostics: dict) -> None:
+def _add_reduction(reduction: _Reduction, coeffs, lines: list | None, diagnostics: dict) -> None:
     values = list(reduction.compute(*coeffs))
-    lines.append(f"{reduction.label}: " + ", ".join(_fmt_num(v) for v in values))
+    if lines is not None:
+        lines.append(f"{reduction.label}: " + ", ".join(_fmt_num(v) for v in values))
     diagnostics[reduction.key] = values
+
+
+def _oracle_not_finite(p: RealPolynomial, variable: str) -> int:
+    # Text mode only: under --json the record holding the non-finite number
+    # is refused by _emit_json.
+    print(
+        f"error: the oracle found a non-finite root for {format_polynomial(p, variable)}",
+        file=sys.stderr,
+    )
+    return _EXIT_NOT_FINITE
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +285,14 @@ def _solve_one(text: str, args, batch: bool) -> int:
         return _EXIT_DEGREE if isinstance(err, UnsupportedDegreeError) else _EXIT_NOT_FINITE
 
     rows = _ordered(rs)
-    tail: list[str] = []
+    tail: list[str] | None = None if args.json else []
     diagnostics: dict = {}
     spec = _DEGREES.get(p.degree) if args.show_depressed else None
     if spec is not None and spec.depress is not None:
         dep = dict(vars(spec.depress(p)))
         *coeffs, shift = dep.values()
-        tail.append("depressed: " + _fmt_fields(dep))
+        if tail is not None:
+            tail.append("depressed: " + _fmt_fields(dep))
         if spec.reduction.in_solve:
             _add_reduction(spec.reduction, coeffs, tail, diagnostics)
         diagnostics["depressed_coefficients"] = dep
@@ -282,9 +301,13 @@ def _solve_one(text: str, args, batch: bool) -> int:
             _split_entry(system, coeffs, *system.decompose(z + shift)) for z, _, _ in rows
         ]
     if args.oracle:
-        distance = max_pairing_distance(rs.roots, find_roots(p).roots)
+        oracle_roots = find_roots(p).roots
+        if not args.json and not all(map(cmath.isfinite, oracle_roots)):
+            return _oracle_not_finite(p, variable)
+        distance = max_pairing_distance(rs.roots, oracle_roots)
         diagnostics["oracle_max_pairing_distance"] = distance
-        tail.append(f"oracle max pairing distance: {distance:.3e}")
+        if tail is not None:
+            tail.append(f"oracle max pairing distance: {distance:.3e}")
     return _report(p, variable, "split-closed-form", rs, rows, (), tail, diagnostics, args, batch)
 
 
@@ -298,12 +321,14 @@ def _oracle_one(text: str, args, batch: bool) -> int:
         return _EXIT_PARSE
 
     result = find_roots(p, OracleConfig())
+    if not args.json and not all(map(cmath.isfinite, result.roots)):
+        return _oracle_not_finite(p, variable)
     rs = RootSet(
         roots=result.roots,
         residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
         branch_tags=tuple("oracle" for _ in result.roots),
     )
-    head = [
+    head = None if args.json else [
         f"converged: {'true' if result.converged else 'false'}",
         f"iterations: {result.iterations_used}",
     ]
@@ -401,8 +426,11 @@ def cmd_split_system(args) -> int:
     if split_residuals:
         diagnostics["split_residuals"] = split_residuals
 
-    record = OutputRecord(echo, "split-closed-form", [], diagnostics or None)
-    return _emit(record, args.json, batch=False, text_lines=lines)
+    if args.json:
+        record = OutputRecord(echo, "split-closed-form", [], diagnostics or None)
+        return _emit_json(record, batch=False)
+    print("\n".join(lines))
+    return _EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -469,8 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Closed-form roots of degree 2-4 real polynomials via "
         "real/imaginary splitting, with an independent iterative oracle.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON output record")
+    json_only = argparse.ArgumentParser(add_help=False)
+    json_only.add_argument("--json", action="store_true", help="emit a JSON output record")
+    common = argparse.ArgumentParser(add_help=False, parents=[json_only])
     common.add_argument(
         "--tolerance",
         type=nonnegative_float,
@@ -529,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        parents=[common],
+        parents=[json_only],
         help="micro-benchmark closed-form solve against the oracle",
     )
     p_bench.add_argument(

@@ -4,6 +4,13 @@ All roots are iterated simultaneously (Aberth-Ehrlich correction with a
 Durand-Kerner fallback where the derivative vanishes), starting from a
 deterministic ring of initial guesses.  No randomness, no retries: a run
 that fails to converge is reported as such.
+
+Apart from the input type ``RealPolynomial`` and its ``monic()``, the only
+code shared with the closed-form solver is ``poly_core.horner_with_derivative``,
+which the Newton polish calls (the Aberth sweep runs the same recurrence
+inline).  Nothing in ``split_solver`` is called, and the polish here is
+separate from the solver's on purpose: a bug on a path the two shared would
+show up in both results alike, and the cross-check would not see it.
 """
 
 from __future__ import annotations
@@ -47,23 +54,31 @@ class OracleResult:
     cluster_radii: tuple[float, ...]
 
 
-def _polish(coeffs_rev: tuple[float, ...], z: complex, steps: int = 3) -> complex:
-    # Newton steps accepted only while the residual strictly decreases.
-    best = abs(horner_with_derivative(coeffs_rev, z)[0])
+def _polish(coeffs_rev: tuple[float, ...], z: complex, steps: int = 3) -> tuple[complex, float]:
+    """Newton steps accepted only while the residual strictly decreases.
+
+    Returns the polished root and its residual ``|p(z)|``.  A step reuses the
+    evaluation that accepted its point, so the cost is one Horner pass at the
+    start plus one per candidate tried.
+    """
+    p, dp = horner_with_derivative(coeffs_rev, z)
+    best = abs(p)
     for _ in range(steps):
-        p, dp = horner_with_derivative(coeffs_rev, z)
         if dp == 0:
             break
         candidate = z - p / dp
-        r = abs(horner_with_derivative(coeffs_rev, candidate)[0])
+        if candidate == z:  # a vanished step cannot lower the residual
+            break
+        cp, cdp = horner_with_derivative(coeffs_rev, candidate)
+        r = abs(cp)
         if r < best:
-            z, best = candidate, r
+            z, best, p, dp = candidate, r, cp, cdp
         else:
             break
-    return z
+    return z, best
 
 
-def _cluster_radii(roots: list[complex], floor: float) -> tuple[float, ...]:
+def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...]:
     n = len(roots)
     parent = list(range(n))
 
@@ -131,19 +146,21 @@ def find_roots(p: RealPolynomial, config: OracleConfig | None = None) -> OracleR
         iterations_used += 1
         new_z = list(z)
         max_step = 0.0
-        for k in range(n):
-            zk = z[k]
-            pk, dpk = horner_with_derivative(coeffs_rev, zk)
+        for k, zk in enumerate(z):
+            # horner_with_derivative inlined: the same operations in the same order.
+            pk = dpk = 0j
+            for c in coeffs_rev:
+                dpk = dpk * zk + pk
+                pk = pk * zk + c
             if pk == 0:
                 continue
             repulsion = 0j
-            for j in range(n):
-                if j == k:
-                    continue
-                diff = zk - z[j]
-                if diff == 0:
-                    diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
-                repulsion += 1.0 / diff
+            for j, zj in enumerate(z):
+                if j != k:
+                    diff = zk - zj
+                    if diff == 0:
+                        diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
+                    repulsion += 1.0 / diff
             if dpk != 0:
                 newton = pk / dpk
                 denom = 1.0 - newton * repulsion
@@ -164,22 +181,25 @@ def find_roots(p: RealPolynomial, config: OracleConfig | None = None) -> OracleR
             if step > max_step:
                 max_step = step
         z = new_z
-        if max_step <= tol * (1.0 + max(abs(w) for w in z)):
+        if max_step <= tol * (1.0 + max(map(abs, z))):
             break
 
-    z = [_polish(coeffs_rev, w) for w in z]
-    residuals = [abs(horner_with_derivative(coeffs_rev, w)[0]) for w in z]
+    z, residuals = zip(*[_polish(coeffs_rev, w) for w in z])
     # Residual floor grows like |z|^n: evaluation rounding alone reaches
     # eps * scale * |z|^n, so the convergence check must scale the same way.
     converged = all(
         r <= tol * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
     )
     return OracleResult(
-        roots=tuple(z),
+        roots=z,
         iterations_used=iterations_used,
         converged=converged,
         cluster_radii=_cluster_radii(z, config.cluster_radius_factor),
     )
+
+
+def _tie_key(reference, perm: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
+    return tuple((reference[j].real, reference[j].imag) for j in perm)
 
 
 def pair_roots(
@@ -202,22 +222,37 @@ def pair_roots(
         return []
 
     if n <= 4:
-        best_key = None
-        best_perm: tuple[int, ...] | None = None
-        for perm in permutations(range(n)):
-            dists = [abs(computed[i] - reference[perm[i]]) for i in range(n)]
-            # Ties broken by the lexicographic (re, im) order of the
-            # assigned reference roots, so equal-cost matchings are stable.
-            key = (
-                max(dists),
-                sum(dists),
-                tuple((reference[j].real, reference[j].imag) for j in perm),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_perm = perm
-        assert best_perm is not None
-        return [(i, best_perm[i], abs(computed[i] - reference[best_perm[i]])) for i in range(n)]
+        # dists[i][j]: computed root i to reference root j, each computed once.
+        dists = [[abs(c - r) for r in reference] for c in computed]
+        perms = permutations(range(n))
+        best = next(perms)
+        row = [dists[i][j] for i, j in enumerate(best)]
+        best_max, best_sum = max(row), sum(row)
+        for perm in perms:
+            # The running maximum, updated as max() does; the permutation is
+            # dropped as soon as it exceeds the best maximum so far.
+            m = dists[0][perm[0]]
+            if m > best_max:
+                continue
+            for i in range(1, n):
+                d = dists[i][perm[i]]
+                if d > m:
+                    if d > best_max:
+                        break
+                    m = d
+            else:
+                if not m <= best_max:  # nan compares false
+                    continue
+                s = sum([dists[i][j] for i, j in enumerate(perm)])
+                # Ties broken by the lexicographic (re, im) order of the
+                # assigned reference roots, so equal-cost matchings are stable.
+                if (
+                    m < best_max
+                    or s < best_sum
+                    or (s == best_sum and _tie_key(reference, perm) < _tie_key(reference, best))
+                ):
+                    best, best_max, best_sum = perm, m, s
+        return [(i, j, dists[i][j]) for i, j in enumerate(best)]
 
     edges = sorted(
         (abs(computed[i] - reference[j]), i, j) for i in range(n) for j in range(n)

@@ -108,6 +108,35 @@ class TestExitCodes:
         assert "invalid" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_bench_takes_no_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n", "1", "--tolerance", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance 5" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        assert "--tolerance" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]])
+    def test_non_finite_oracle_root_is_4_in_text_mode(self, command, capsys):
+        # The oracle's iteration overflows on this input and returns nan
+        # roots; text mode refuses them as --json does.
+        big = "1" + "0" * 160
+        assert main([*command, f"z^2 + {big}z + 1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the oracle found a non-finite root for z^2 + ")
+        assert captured.err.count("\n") == 1
+
+    def test_non_finite_oracle_line_reports_4_and_batch_goes_on(self, capsys, monkeypatch):
+        big = "1" + "0" * 160
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"z^2 + {big}z + 1\nz^2 - 1\n"))
+        assert main(["oracle"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.startswith("polynomial: z^2 - 1\nmethod: oracle\n")
+        assert "nan" not in captured.out
+
     def test_option_limits_are_inclusive(self, capsys):
         assert main(["bench", "--n", "1", "--degree", "2"]) == 0
         assert main(["solve", "z^2 - 1", "--tolerance", "0"]) == 0
@@ -219,6 +248,26 @@ class TestTextOutput:
         monkeypatch.setattr("sys.stdin", io.StringIO("z^3 - 6z^2 + 11z - 6\nz^4 - 3z^3 + 1\n"))
         assert main(["solve", "--show-depressed", "--oracle"]) == 0
         assert calls == [3, 4]
+
+    def test_json_builds_no_text_lines(self, capsys, monkeypatch):
+        from splitroots import cli
+
+        calls = []
+
+        def counting(z, fmt_root=cli._fmt_root):
+            calls.append(z)
+            return fmt_root(z)
+
+        monkeypatch.setattr(cli, "_fmt_root", counting)
+        quartic = "2z^4 - 3z^3 + z^2 + 4z - 1"
+        assert main(["solve", quartic, "--json", "--show-depressed", "--oracle"]) == 0
+        assert main(["oracle", quartic, "--json"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("z^3 - 7z + 6\nz^2 + 1\n"))
+        assert main(["solve", "--json", "--show-depressed", "--oracle"]) == 0
+        assert calls == []
+        assert main(["solve", quartic]) == 0
+        assert len(calls) == 4
+        capsys.readouterr()
 
     def test_default_threshold_no_warning(self, capsys):
         main(["solve", "z^3 - 7z + 6"])

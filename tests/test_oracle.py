@@ -1,16 +1,18 @@
 """Unit tests for the iterative root oracle and root pairing."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+from splitroots import oracle
 from splitroots.oracle import (
     OracleConfig,
     find_roots,
     max_pairing_distance,
     pair_roots,
 )
-from splitroots.poly_core import RealPolynomial, evaluate
+from splitroots.poly_core import RealPolynomial, evaluate, horner_with_derivative
 
 
 def _poly_from_roots(roots) -> RealPolynomial:
@@ -113,6 +115,113 @@ class TestFindRoots:
             OracleConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OracleConfig(convergence_tolerance=-1.0)
+
+
+def _counting_horner(monkeypatch) -> list[complex]:
+    """Record every point the oracle evaluates through ``horner_with_derivative``."""
+    points: list[complex] = []
+
+    def counting(coeffs_rev, z):
+        points.append(z)
+        return horner_with_derivative(coeffs_rev, z)
+
+    monkeypatch.setattr(oracle, "horner_with_derivative", counting)
+    return points
+
+
+class TestHornerPasses:
+    def test_polish_one_pass_per_point(self, monkeypatch):
+        p = RealPolynomial((-3.1, 0.7, -2.0, 5.5, 1.25)).monic()
+        coeffs_rev = tuple(reversed(p.coefficients))
+        rng = random.Random(5)
+        tried_more_than_start = 0
+        for _ in range(200):
+            z0 = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            points = _counting_horner(monkeypatch)
+            z, residual = oracle._polish(coeffs_rev, z0)
+            # One pass at the start, then one per candidate tried: each
+            # candidate is a Newton step from the last point accepted, and
+            # only the last candidate can have been rejected.
+            assert points[0] == z0
+            assert len(points) <= 4
+            assert len(set(points)) == len(points)
+            for k in range(1, len(points)):
+                value, deriv = horner_with_derivative(coeffs_rev, points[k - 1])
+                assert points[k] == points[k - 1] - value / deriv
+            assert z in points[-2:]
+            assert residual == abs(horner_with_derivative(coeffs_rev, z)[0])
+            tried_more_than_start += len(points) > 1
+        assert tried_more_than_start == 200
+
+    def test_find_roots_does_not_reevaluate_polished_roots(self, monkeypatch):
+        for coeffs in ((6.0, -7.0, 0.0, 1.0), (-3.1, 0.7, -2.0, 5.5, 1.25), (2.0, 0.0, 1.0)):
+            points = _counting_horner(monkeypatch)
+            result = find_roots(RealPolynomial(coeffs))
+            # The Aberth sweep has its own Horner loop; every pass left is
+            # the polish, and a polished root was evaluated exactly once.
+            assert len(set(points)) == len(points)
+            assert all(points.count(z) == 1 for z in result.roots)
+            assert len(points) <= 4 * len(result.roots)
+
+
+def _reference_pair_roots(computed, reference):
+    """The pairing rule stated as one key per permutation, for n <= 4."""
+    n = len(computed)
+    best_key = best_perm = None
+    for perm in permutations(range(n)):
+        dists = [abs(computed[i] - reference[perm[i]]) for i in range(n)]
+        key = (
+            max(dists),
+            sum(dists),
+            tuple((reference[j].real, reference[j].imag) for j in perm),
+        )
+        if best_key is None or key < best_key:
+            best_key, best_perm = key, perm
+    return [(i, best_perm[i], abs(computed[i] - reference[best_perm[i]])) for i in range(n)]
+
+
+class TestPairingRule:
+    def test_random_sets_match_reference_rule(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            reference = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+            computed = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+            assert pair_roots(computed, reference) == _reference_pair_roots(computed, reference)
+
+    def test_exact_ties_match_reference_rule(self):
+        rng = random.Random(23)
+        grid = [complex(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+        ties = 0
+        for _ in range(3000):
+            n = rng.randint(2, 4)
+            reference = [rng.choice(grid) for _ in range(n)]
+            computed = [rng.choice(grid) for _ in range(n)]
+            if rng.random() < 0.3:
+                reference = [reference[0]] * n  # duplicate reference roots
+            expected = _reference_pair_roots(computed, reference)
+            assert pair_roots(computed, reference) == expected
+            perms = list(permutations(range(n)))
+            costs = [
+                (max(d), sum(d))
+                for d in ([abs(computed[i] - reference[p[i]]) for i in range(n)] for p in perms)
+            ]
+            ties += costs.count(min(costs)) > 1
+        assert ties > 1000  # the tie-break decided a large share of these
+
+    def test_equal_cost_matchings_take_the_lexicographic_reference_order(self):
+        # Both matchings have max 1 and sum 2; the tie goes to the one whose
+        # assigned reference roots come first in (re, im) order.
+        computed = [0j, 0j]
+        reference = [1 + 0j, -1 + 0j]
+        assert pair_roots(computed, reference) == [(0, 1, 1.0), (1, 0, 1.0)]
+
+    def test_five_roots_use_the_greedy_sweep(self):
+        computed = [0j, 1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]
+        reference = [4.1 + 0j, 0.2 + 0j, 2.05 + 0j, 1.3 + 0j, 2.9 + 0j]
+        pairs = pair_roots(computed, reference)
+        assert [(i, j) for i, j, _ in pairs] == [(0, 1), (1, 3), (2, 2), (3, 4), (4, 0)]
+        assert [d for _, _, d in pairs] == [abs(computed[i] - reference[j]) for i, j, _ in pairs]
 
 
 class TestPairing:
