@@ -220,8 +220,9 @@ def _emit_json(record: OutputRecord, batch: bool) -> int:
 def _report(p, variable, method, rs, rows, head, tail, diagnostics, args, batch) -> int:
     """Print one input's roots (``rows``) as a record or as text, then warn on residuals.
 
-    ``head`` and ``tail`` are the text lines around the roots, read only in
-    text mode; under ``--json`` the callers pass ``None`` and build no text.
+    ``head`` and ``tail`` are the text lines around the roots.  They are read
+    only in text mode, so under ``--json`` a caller passes ``None`` for what
+    it would have to format.
     """
     echo = format_polynomial(p, variable)
     if args.json:
