@@ -20,11 +20,8 @@ import cmath
 import json
 import math
 import os
-import random
-import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .oracle import OracleConfig, find_roots, max_pairing_distance
@@ -32,6 +29,7 @@ from .parser import ParseError, format_polynomial, parse_polynomial_with_variabl
 from .poly_core import (
     RealPolynomial,
     RootSet,
+    _Record,
     depress_cubic,
     depress_quartic,
     evaluate,
@@ -118,22 +116,40 @@ _DEGREES = {
 }
 
 
-@dataclass
-class RootRecord:
-    re: float
-    im: float
-    residual: float
-    branch_tag: str
+class _MutableRecord(_Record):
+    """A record whose fields can be reassigned; unhashable, like a mutable dataclass."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
-@dataclass
-class OutputRecord:
+class RootRecord(_MutableRecord):
+    _fields = ("re", "im", "residual", "branch_tag")
+
+    def __init__(self, re: float, im: float, residual: float, branch_tag: str) -> None:
+        self.re = re
+        self.im = im
+        self.residual = residual
+        self.branch_tag = branch_tag
+
+
+class OutputRecord(_MutableRecord):
     """One solver/oracle run, as serialized by ``--json``."""
 
-    polynomial: str
-    method: str
-    roots: list[RootRecord] = field(default_factory=list)
-    diagnostics: dict | None = None
+    _fields = ("polynomial", "method", "roots", "diagnostics")
+
+    def __init__(
+        self,
+        polynomial: str,
+        method: str,
+        roots: list[RootRecord] | None = None,
+        diagnostics: dict | None = None,
+    ) -> None:
+        self.polynomial = polynomial
+        self.method = method
+        self.roots = [] if roots is None else roots
+        self.diagnostics = diagnostics
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -435,6 +451,9 @@ def cmd_split_system(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import random
+    import statistics
+
     degrees = [args.degree] if args.degree else [2, 3, 4]
     rows = []
     for degree in degrees:

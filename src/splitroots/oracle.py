@@ -16,10 +16,9 @@ show up in both results alike, and the cross-check would not see it.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import permutations
 
-from .poly_core import RealPolynomial, horner_with_derivative
+from .poly_core import RealPolynomial, _Record, horner_with_derivative
 
 # Roots closer than this count as one cluster when measuring separation.
 CLUSTER_DISTANCE = 1e-3
@@ -29,29 +28,48 @@ CLUSTER_DISTANCE = 1e-3
 _RING_PHASE = 0.4
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Record):
     """Iteration limits and reporting thresholds for :func:`find_roots`."""
 
-    max_iterations: int = 200
-    convergence_tolerance: float = 1e-13
-    cluster_radius_factor: float = 1e-7
+    _fields = ("max_iterations", "convergence_tolerance", "cluster_radius_factor")
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+    def __init__(
+        self,
+        max_iterations: int = 200,
+        convergence_tolerance: float = 1e-13,
+        cluster_radius_factor: float = 1e-7,
+    ) -> None:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.convergence_tolerance <= 0.0:
+        if convergence_tolerance <= 0.0:
             raise ValueError("convergence_tolerance must be positive")
-        if self.cluster_radius_factor <= 0.0:
+        if cluster_radius_factor <= 0.0:
             raise ValueError("cluster_radius_factor must be positive")
+        d = self.__dict__
+        d["max_iterations"], d["convergence_tolerance"], d["cluster_radius_factor"] = (
+            max_iterations,
+            convergence_tolerance,
+            cluster_radius_factor,
+        )
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    roots: tuple[complex, ...]
-    iterations_used: int
-    converged: bool
-    cluster_radii: tuple[float, ...]
+class OracleResult(_Record):
+    _fields = ("roots", "iterations_used", "converged", "cluster_radii")
+
+    def __init__(
+        self,
+        roots: tuple[complex, ...],
+        iterations_used: int,
+        converged: bool,
+        cluster_radii: tuple[float, ...],
+    ) -> None:
+        d = self.__dict__
+        d["roots"], d["iterations_used"], d["converged"], d["cluster_radii"] = (
+            roots,
+            iterations_used,
+            converged,
+            cluster_radii,
+        )
 
 
 def _polish(coeffs_rev: tuple[float, ...], z: complex, steps: int = 3) -> tuple[complex, float]:
@@ -276,6 +294,8 @@ def max_pairing_distance(
     computed: list[complex] | tuple[complex, ...],
     reference: list[complex] | tuple[complex, ...],
 ) -> float:
-    """Largest matched distance under :func:`pair_roots`."""
-    pairs = pair_roots(computed, reference)
-    return max((d for _, _, d in pairs), default=0.0)
+    """Largest matched distance under :func:`pair_roots`; ``nan`` if any distance is."""
+    distances = [d for _, _, d in pair_roots(computed, reference)]
+    if any(map(cmath.isnan, distances)):
+        return cmath.nan
+    return max(distances, default=0.0)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
 
 from .poly_core import RealPolynomial
 
@@ -148,6 +147,8 @@ def _format_coefficient(value: float) -> str:
     s = repr(value)
     if "e" in s or "E" in s:
         # The grammar has no scientific notation; expand exactly.
+        from decimal import Decimal
+
         s = format(Decimal(s), "f")
     return s
 

@@ -9,11 +9,53 @@ coefficients from a depressed form cancels the rounding of the forward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
+class _Record:
+    """Immutable value record over the field names in ``_fields``.
+
+    Subclasses store their fields in the instance ``__dict__`` in ``_fields``
+    order, so ``vars()`` lists them as declared.  Instances of the same class
+    compare and hash by their field values, and the repr is
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _require_finite(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    for c in coeffs:
+        if not math.isfinite(c):
+            raise ValueError(f"coefficients must be finite, got {c!r}")
+    return coeffs
+
+
+class RealPolynomial(_Record):
     """A polynomial with real coefficients, lowest power first.
 
     Trailing zero coefficients are trimmed exactly; the stored leading
@@ -22,20 +64,17 @@ class RealPolynomial:
     :meth:`monic` where a monic form is needed.
     """
 
-    coefficients: tuple[float, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+    def __init__(self, coefficients) -> None:
+        coeffs = _require_finite(tuple(float(c) for c in coefficients))
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
-        for c in coeffs:
-            if not math.isfinite(c):
-                raise ValueError(f"coefficients must be finite, got {c!r}")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         if coeffs == (0.0,):
             raise ValueError("the zero polynomial is not representable")
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__["coefficients"] = coeffs
 
     @property
     def degree(self) -> int:
@@ -52,42 +91,43 @@ class RealPolynomial:
         return RealPolynomial(tuple(c / lead for c in self.coefficients))
 
 
-@dataclass(frozen=True)
-class DepressedCubic:
+class DepressedCubic(_Record):
     """Monic cubic ``w**3 + a*w + b`` reached by the substitution ``w = z + shift``.
 
     Roots of the source cubic are the depressed roots minus ``shift``.
     """
 
-    a: float
-    b: float
-    shift: float = 0.0
+    _fields = ("a", "b", "shift")
+
+    def __init__(self, a: float, b: float, shift: float = 0.0) -> None:
+        d = self.__dict__
+        d["a"], d["b"], d["shift"] = a, b, shift
 
 
-@dataclass(frozen=True)
-class DepressedQuartic:
+class DepressedQuartic(_Record):
     """Monic quartic ``w**4 + a*w**2 + b*w + c`` with ``w = z + shift``."""
 
-    a: float
-    b: float
-    c: float
-    shift: float = 0.0
+    _fields = ("a", "b", "c", "shift")
+
+    def __init__(self, a: float, b: float, c: float, shift: float = 0.0) -> None:
+        d = self.__dict__
+        d["a"], d["b"], d["c"], d["shift"] = a, b, c, shift
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """Roots together with their residuals and the branch that produced each."""
 
-    roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    branch_tags: tuple[str, ...]
+    _fields = ("roots", "residuals", "branch_tags")
 
-    def __post_init__(self) -> None:
-        if not (len(self.roots) == len(self.residuals) == len(self.branch_tags)):
+    def __init__(self, roots, residuals, branch_tags) -> None:
+        if not (len(roots) == len(residuals) == len(branch_tags)):
             raise ValueError("roots, residuals and branch_tags must have equal length")
-        object.__setattr__(self, "roots", tuple(map(complex, self.roots)))
-        object.__setattr__(self, "residuals", tuple(map(float, self.residuals)))
-        object.__setattr__(self, "branch_tags", tuple(self.branch_tags))
+        d = self.__dict__
+        d["roots"], d["residuals"], d["branch_tags"] = (
+            tuple(map(complex, roots)),
+            tuple(map(float, residuals)),
+            tuple(branch_tags),
+        )
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -130,6 +170,14 @@ def derivative(p: RealPolynomial) -> RealPolynomial:
     return RealPolynomial(tuple(k * c for k, c in enumerate(p.coefficients) if k > 0))
 
 
+def _monic_coefficients(p: RealPolynomial) -> tuple[float, ...]:
+    """The coefficients of ``p.monic()``, without building that polynomial."""
+    lead = p.coefficients[-1]
+    if lead == 1.0:
+        return p.coefficients
+    return _require_finite(tuple([c / lead for c in p.coefficients]))
+
+
 def depress_cubic(p: RealPolynomial) -> DepressedCubic:
     """Remove the quadratic term of a cubic via ``w = z + alpha/3``.
 
@@ -139,7 +187,7 @@ def depress_cubic(p: RealPolynomial) -> DepressedCubic:
     """
     if p.degree != 3:
         raise ValueError(f"depress_cubic requires degree 3, got degree {p.degree}")
-    gamma, beta, alpha, _ = p.monic().coefficients
+    gamma, beta, alpha, _ = _monic_coefficients(p)
     s = alpha / 3.0
     s2 = s * s
     a = beta - 3.0 * s2
@@ -161,7 +209,7 @@ def depress_quartic(p: RealPolynomial) -> DepressedQuartic:
     """Remove the cubic term of a quartic via ``w = z + alpha/4``."""
     if p.degree != 4:
         raise ValueError(f"depress_quartic requires degree 4, got degree {p.degree}")
-    delta, gamma, beta, alpha, _ = p.monic().coefficients
+    delta, gamma, beta, alpha, _ = _monic_coefficients(p)
     s = alpha / 4.0
     s2 = s * s
     a = beta - 6.0 * s2

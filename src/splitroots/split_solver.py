@@ -25,28 +25,30 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .poly_core import (
     DepressedCubic,
     DepressedQuartic,
     RealPolynomial,
     RootSet,
+    _Record,
     depress_cubic,
     depress_quartic,
     horner_abs,
     horner_with_derivative,
 )
 
-@dataclass(frozen=True)
-class SplitAnsatz:
+class SplitAnsatz(_Record):
     """The substitution ``z = x + omega*y`` for a fixed unit complex ``omega``.
 
     With ``x`` and ``y`` real, fixing ``omega`` turns one complex polynomial
     equation into a system of two real equations.
     """
 
-    omega: complex
+    _fields = ("omega",)
+
+    def __init__(self, omega: complex) -> None:
+        self.__dict__["omega"] = omega
 
     def compose(self, x: float, y: float) -> complex:
         return complex(x + self.omega.real * y, self.omega.imag * y)
@@ -82,25 +84,28 @@ class UnsupportedDegreeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class SplitResidual:
+class SplitResidual(_Record):
     """Real and imaginary parts of a split system evaluated at a point."""
 
-    real_part: float
-    imag_part: float
+    _fields = ("real_part", "imag_part")
+
+    def __init__(self, real_part: float, imag_part: float) -> None:
+        d = self.__dict__
+        d["real_part"], d["imag_part"] = real_part, imag_part
 
     @property
     def max_abs(self) -> float:
         return max(abs(self.real_part), abs(self.imag_part))
 
 
-@dataclass(frozen=True)
-class ReducedCubicCoefficients:
+class ReducedCubicCoefficients(_Record):
     """Coefficients (cubic, linear, constant) of the naive-split elimination."""
 
-    c3: float
-    c1: float
-    c0: float
+    _fields = ("c3", "c1", "c0")
+
+    def __init__(self, c3: float, c1: float, c0: float) -> None:
+        d = self.__dict__
+        d["c3"], d["c1"], d["c0"] = c3, c1, c0
 
 
 # ---------------------------------------------------------------------------

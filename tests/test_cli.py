@@ -369,6 +369,36 @@ class TestBenchDeterminism:
         assert res1 == res2
 
 
+class TestStartup:
+    """Stdlib modules that only some commands need stay off the import path."""
+
+    @staticmethod
+    def _run(*args):
+        src = str(pathlib.Path(splitroots.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-S", *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_import_leaves_heavy_modules_unloaded(self):
+        proc = self._run(
+            "-c",
+            "import sys, splitroots.cli; print(*sorted({'dataclasses', 'inspect', "
+            "'statistics', 'decimal'} & set(sys.modules)))",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+    def test_bench_loads_its_modules_when_run(self):
+        proc = self._run("-m", "splitroots.cli", "bench", "--n", "1", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["rows"]) == 6
+
+    def test_exponent_coefficient_is_expanded_when_echoed(self):
+        proc = self._run("-m", "splitroots.cli", "solve", "z^2 - 0.00000000000000000001")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("polynomial: z^2 - 0.00000000000000000001\n")
+
+
 class TestClosedPipe:
     def test_closed_reader_exits_quietly(self):
         src = str(pathlib.Path(splitroots.__file__).resolve().parents[1])

@@ -1,5 +1,6 @@
 """Unit tests for the iterative root oracle and root pairing."""
 
+import math
 import random
 from itertools import permutations
 
@@ -252,6 +253,19 @@ class TestPairing:
 
     def test_max_pairing_distance_value(self):
         assert max_pairing_distance([0j, 1 + 0j], [0j, 1.5 + 0j]) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "computed, reference",
+        [
+            ([1, 0], [1, math.nan]),
+            ([1, math.nan], [1, 0]),
+            ([1 + 0j, 0j], [1 + 0j, complex(math.nan, 0.0)]),
+            ([1 + 0j, complex(0.0, math.nan)], [1 + 0j, 0j]),
+        ],
+    )
+    def test_nan_distance_gives_nan(self, computed, reference):
+        # max() alone skips a nan that does not come first.
+        assert math.isnan(max_pairing_distance(computed, reference))
 
     def test_deterministic_under_ties(self):
         computed = [1 + 1j, 1 - 1j]

@@ -183,6 +183,20 @@ class TestDepression:
             for got, want in zip(back.coefficients, p.monic().coefficients):
                 assert abs(got - want) <= 4.0 * math.ulp(m)
 
+    def test_non_monic_input_depresses_as_its_monic_form_bit_for_bit(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            for degree, depress in ((3, depress_cubic), (4, depress_quartic)):
+                lead = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0)
+                p = RealPolynomial([rng.uniform(-50.0, 50.0) for _ in range(degree)] + [lead])
+                assert repr(depress(p)) == repr(depress(p.monic()))
+
+    def test_depress_rejects_an_overflowing_monic_form(self):
+        for depress, degree in ((depress_cubic, 3), (depress_quartic, 4)):
+            p = RealPolynomial((1e10,) + (0.0,) * (degree - 1) + (1e-300,))
+            with pytest.raises(ValueError, match="^coefficients must be finite, got inf$"):
+                depress(p)
+
     def test_depress_requires_matching_degree(self):
         with pytest.raises(ValueError):
             depress_cubic(RealPolynomial((1.0, 1.0, 1.0)))
