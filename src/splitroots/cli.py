@@ -128,10 +128,7 @@ class RootRecord(_MutableRecord):
     _fields = ("re", "im", "residual", "branch_tag")
 
     def __init__(self, re: float, im: float, residual: float, branch_tag: str) -> None:
-        self.re = re
-        self.im = im
-        self.residual = residual
-        self.branch_tag = branch_tag
+        self.re, self.im, self.residual, self.branch_tag = re, im, residual, branch_tag
 
 
 class OutputRecord(_MutableRecord):

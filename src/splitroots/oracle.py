@@ -47,28 +47,17 @@ class OracleConfig(_Record):
             raise ValueError("cluster_radius_factor must be positive")
         d = self.__dict__
         d["max_iterations"], d["convergence_tolerance"], d["cluster_radius_factor"] = (
-            max_iterations,
-            convergence_tolerance,
-            cluster_radius_factor,
+            max_iterations, convergence_tolerance, cluster_radius_factor
         )
 
 
 class OracleResult(_Record):
     _fields = ("roots", "iterations_used", "converged", "cluster_radii")
 
-    def __init__(
-        self,
-        roots: tuple[complex, ...],
-        iterations_used: int,
-        converged: bool,
-        cluster_radii: tuple[float, ...],
-    ) -> None:
+    def __init__(self, roots, iterations_used: int, converged: bool, cluster_radii) -> None:
         d = self.__dict__
         d["roots"], d["iterations_used"], d["converged"], d["cluster_radii"] = (
-            roots,
-            iterations_used,
-            converged,
-            cluster_radii,
+            roots, iterations_used, converged, cluster_radii
         )
 
 

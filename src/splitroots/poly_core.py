@@ -124,9 +124,7 @@ class RootSet(_Record):
             raise ValueError("roots, residuals and branch_tags must have equal length")
         d = self.__dict__
         d["roots"], d["residuals"], d["branch_tags"] = (
-            tuple(map(complex, roots)),
-            tuple(map(float, residuals)),
-            tuple(branch_tags),
+            tuple(map(complex, roots)), tuple(map(float, residuals)), tuple(branch_tags)
         )
 
     def __len__(self) -> int:

@@ -47,7 +47,8 @@ CASES = [
     (
         OracleConfig(),
         ("max_iterations", "convergence_tolerance", "cluster_radius_factor"),
-        "OracleConfig(max_iterations=200, convergence_tolerance=1e-13, cluster_radius_factor=1e-07)",
+        "OracleConfig(max_iterations=200, convergence_tolerance=1e-13, "
+        "cluster_radius_factor=1e-07)",
     ),
     (
         OracleResult((1 + 0j, -1 + 0j), 5, True, (0.0, 0.0)),
