@@ -115,7 +115,13 @@ class DepressedQuartic(_Record):
 
 
 class RootSet(_Record):
-    """Roots together with their residuals and the branch that produced each."""
+    """Roots together with their residuals and the branch that produced each.
+
+    The public constructor validates: it checks that the three sequences have
+    equal length and stores them as tuples of ``complex``, ``float`` and the
+    tags as given.  The solver builds its results through :meth:`_trusted`
+    instead, from tuples it has already made of exactly those types.
+    """
 
     _fields = ("roots", "residuals", "branch_tags")
 
@@ -126,6 +132,21 @@ class RootSet(_Record):
         d["roots"], d["residuals"], d["branch_tags"] = (
             tuple(map(complex, roots)), tuple(map(float, residuals)), tuple(branch_tags)
         )
+
+    @classmethod
+    def _trusted(
+        cls, roots: tuple[complex, ...], residuals: tuple[float, ...], branch_tags: tuple[str, ...]
+    ) -> RootSet:
+        """A RootSet over the solver's own tuples, stored without checks or copies.
+
+        The caller guarantees equal lengths, ``complex`` roots, ``float``
+        residuals and ``str`` tags, so the result equals what the public
+        constructor would build from the same values.
+        """
+        self = object.__new__(cls)
+        d = self.__dict__
+        d["roots"], d["residuals"], d["branch_tags"] = roots, residuals, branch_tags
+        return self
 
     def __len__(self) -> int:
         return len(self.roots)

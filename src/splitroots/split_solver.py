@@ -32,6 +32,7 @@ from .poly_core import (
     RealPolynomial,
     RootSet,
     _Record,
+    _monic_coefficients,
     depress_cubic,
     depress_quartic,
     horner_abs,
@@ -70,6 +71,20 @@ ONE_MINUS_OMEGA = 1.0 - OMEGA
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
+
+# Branch tags, built once rather than formatted on every solve.
+_REAL_PAIR_TAGS = ("trivial-imaginary-branch:+", "trivial-imaginary-branch:-")
+_CONJUGATE_PAIR_TAGS = ("conjugate-branch:+", "conjugate-branch:-")
+_TRIPLE_ZERO_TAGS = ("triple-zero",) * 3
+_CUBE_ROOT_TAGS = ("cube-root-0", "cube-root-1", "cube-root-2")
+_NEAR_ORIGIN_TAGS = tuple(f"near-origin-degenerate:{k}" for k in range(3))
+_OMEGA_TAGS = {sign: tuple(f"omega-branch-{k}:{sign}" for k in range(3)) for sign in "+-"}
+_BIQUADRATIC_TAGS = tuple(f"biquadratic-{i}:{sign}" for i in range(2) for sign in "+-")
+# Index j: the four candidate roots of resolvent root j, in x+y+, x+y-, x-y+, x-y- order.
+_RESOLVENT_TAGS = tuple(
+    tuple(f"resolvent-root-{j}:{x}:{y}" for x in ("x+", "x-") for y in ("y+", "y-")) for j in range(3)
+)
+_FALLBACK_TAGS = ("resolvent-fallback",) * 4
 
 
 class UnsupportedDegreeError(ValueError):
@@ -193,9 +208,11 @@ def quartic_resolvent_coefficients(a: float, b: float, c: float) -> tuple[float,
 def _polish_root(
     coeffs_rev: tuple[float, ...], z: complex, scale: float, residual: float | None = None
 ) -> tuple[complex, float]:
-    # Newton steps, each kept only if the residual drops, then the real-axis snap.
-    # ``residual``, when given, is |p(z)| already computed by the caller.  A
-    # kept step's evaluation supplies the value and derivative for the next.
+    # Newton steps, each kept only if the residual drops.  ``residual``, when
+    # given, is |p(z)| already computed by the caller.  A kept step's
+    # evaluation supplies the value and derivative for the next.  _finish
+    # calls this only for a root whose residual is over the trigger, and does
+    # the real-axis snap and the -0.0 normalization itself.
     if residual is None:
         residual = horner_abs(coeffs_rev, z)
     if residual > _POLISH_TRIGGER * scale:
@@ -213,11 +230,6 @@ def _polish_root(
                 break
             if residual <= _POLISH_TRIGGER * scale:
                 break
-    if z.imag != 0.0 and abs(z.imag) <= _IMAG_SNAP * max(1.0, abs(z.real)):
-        z = complex(z.real, 0.0)
-        residual = horner_abs(coeffs_rev, z)
-    if z.imag == 0.0 or z.real == 0.0:
-        z = complex(z.real + 0.0, z.imag + 0.0)  # normalize -0.0 components
     return z, residual
 
 
@@ -228,17 +240,28 @@ def _finish(
     tags: Sequence[str],
     residuals: Sequence[float] | None = None,
 ) -> RootSet:
-    # Polish, snap to the real axis, and record final residuals.  ``residuals``,
-    # when given, are the roots' |p(z)| already computed by the caller.
+    # Polish, snap to the real axis, normalize -0.0 components and record the
+    # final residuals.  ``residuals``, when given, are the roots' |p(z)|
+    # already computed by the caller.  Few roots need a Newton step, so
+    # _polish_root runs only for those.  The tuples built here hold complex
+    # roots and float residuals already, so the RootSet skips the public
+    # constructor's checks and conversions.
     if residuals is None:
-        residuals = [None] * len(roots)
+        residuals = [horner_abs(coeffs_rev, z) for z in roots]
+    trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
     out_residuals: list[float] = []
     for z, residual in zip(roots, residuals):
-        z, residual = _polish_root(coeffs_rev, z, scale, residual)
+        if residual > trigger:
+            z, residual = _polish_root(coeffs_rev, z, scale, residual)
+        if z.imag != 0.0 and abs(z.imag) <= _IMAG_SNAP * max(1.0, abs(z.real)):
+            z = complex(z.real, 0.0)
+            residual = horner_abs(coeffs_rev, z)
+        if z.imag == 0.0 or z.real == 0.0:
+            z = complex(z.real + 0.0, z.imag + 0.0)
         out_roots.append(z)
         out_residuals.append(residual)
-    return RootSet(roots=tuple(out_roots), residuals=tuple(out_residuals), branch_tags=tuple(tags))
+    return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
 
 
 def _cube_roots(w: complex) -> list[complex]:
@@ -276,16 +299,16 @@ def solve_quadratic(a: float, b: float) -> RootSet:
             r_minus = x - s
             r_plus = b / r_minus if r_minus != 0.0 else x + s
         roots = [complex(r_plus, 0.0), complex(r_minus, 0.0)]
-        tags = ["trivial-imaginary-branch:+", "trivial-imaginary-branch:-"]
+        tags = _REAL_PAIR_TAGS
     else:
         y = math.sqrt(b - x * x)
         roots = [complex(x, y), complex(x, -y)]
-        tags = ["conjugate-branch:+", "conjugate-branch:-"]
+        tags = _CONJUGATE_PAIR_TAGS
     scale = max(1.0, abs(a), abs(b))
     return _finish((1.0, a, b), scale, roots, tags)
 
 
-def _omega_cubic(a: float, b: float) -> tuple[list[complex], list[str]]:
+def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
     """Unpolished roots of ``w**3 + a*w + b`` and their branch tags.
 
     On the nontrivial branch ``y = -x - a/(3x)`` the omega system collapses to
@@ -295,12 +318,12 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], list[str]]:
     """
     if a == 0.0:
         if b == 0.0:
-            return [0j, 0j, 0j], ["triple-zero"] * 3
+            return [0j, 0j, 0j], _TRIPLE_ZERO_TAGS
         # w**3 = -b: take the real cube root exactly, rotate for the pair.
         r = _real_cbrt(-b)
         rot = complex(-0.5, math.sqrt(3.0) / 2.0)
         roots = [complex(r, 0.0), r * rot, r * rot.conjugate()]
-        return roots, ["cube-root-0", "cube-root-1", "cube-root-2"]
+        return roots, _CUBE_ROOT_TAGS
 
     disc = 0.25 * b * b + a * a * a / 27.0
     sqrt_disc = cmath.sqrt(complex(disc, 0.0))
@@ -313,11 +336,11 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], list[str]]:
         # Both branches vanished: b ~ 0 and a**3 underflowed, so the equation
         # is effectively w*(w**2 + a) = 0; solve that form directly.
         r = cmath.sqrt(complex(-a, 0.0))
-        return [complex(0.0, 0.0), r, -r], [f"near-origin-degenerate:{k}" for k in range(3)]
+        return [complex(0.0, 0.0), r, -r], _NEAR_ORIGIN_TAGS
 
     third_a = a / 3.0
     roots = [ONE_MINUS_OMEGA * x - OMEGA * (third_a / x) for x in _cube_roots(x_cubed)]
-    return roots, [f"omega-branch-{k}:{branch}" for k in range(3)]
+    return roots, _OMEGA_TAGS[branch]
 
 
 def solve_depressed_cubic(dc: DepressedCubic) -> RootSet:
@@ -371,28 +394,25 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
 
     if abs(b) <= 1e-14 * scale:
         # Even quartic: w**2 solves u**2 + a*u + c = 0.
-        u_set = solve_quadratic(a, c)
         roots = []
-        tags = []
-        for i, u in enumerate(u_set.roots):
+        for u in solve_quadratic(a, c).roots:
             s = cmath.sqrt(u)
             roots.extend([s, -s])
-            tags.extend([f"biquadratic-{i}:+", f"biquadratic-{i}:-"])
-        return _finish(coeffs_rev, scale, roots, tags)
+        return _finish(coeffs_rev, scale, roots, _BIQUADRATIC_TAGS)
 
     _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
     # Depress the resolvent by t = u - r2/3 (the arithmetic of depress_cubic)
-    # and polish its omega roots there, as solve_depressed_cubic would.
+    # and finish its omega roots there, as solve_depressed_cubic would.
     s = r2 / 3.0
     s2 = s * s
     ra = r1 - 3.0 * s2
     rb = r0 - s * (ra + s2)
-    r_coeffs, r_scale = (1.0, 0.0, ra, rb), max(1.0, abs(ra), abs(rb))
-    t_roots = [_polish_root(r_coeffs, u, r_scale)[0] - s for u in _omega_cubic(ra, rb)[0]]
+    r_scale = max(1.0, abs(ra), abs(rb))
+    t_roots = [u - s for u in _finish((1.0, 0.0, ra, rb), r_scale, *_omega_cubic(ra, rb)).roots]
 
-    best: tuple[list[complex], list[str], list[float] | None] | None = None
+    best: tuple[list[complex], tuple[str, ...], list[float] | None] | None = None
     best_total = math.inf
     for j, t in enumerate(t_roots):
         if t.imag != 0.0 and abs(t.imag) > 1e-7 * max(1.0, abs(t.real)):
@@ -401,20 +421,17 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
         if t_real <= 0.0:
             continue
         candidate_roots: list[complex] = []
-        candidate_tags: list[str] = []
-        for x_sign, x_label in ((1.0, "x+"), (-1.0, "x-")):
+        for x_sign in (1.0, -1.0):
             x = x_sign * math.sqrt(t_real)
             y2 = x * x + b / (4.0 * x) + 0.5 * a
             y = cmath.sqrt(complex(y2, 0.0))
-            for y_sign, y_label in ((1.0, "y+"), (-1.0, "y-")):
-                z = complex(x, 0.0) + y_sign * 1j * y
-                candidate_roots.append(z)
-                candidate_tags.append(f"resolvent-root-{j}:{x_label}:{y_label}")
+            for y_sign in (1.0, -1.0):
+                candidate_roots.append(complex(x, 0.0) + y_sign * 1j * y)
         candidate_residuals = [horner_abs(coeffs_rev, z) for z in candidate_roots]
         total = sum(candidate_residuals)
         if total < best_total:
             best_total = total
-            best = (candidate_roots, candidate_tags, candidate_residuals)
+            best = (candidate_roots, _RESOLVENT_TAGS[j], candidate_residuals)
 
     if best is None:
         # No usable resolvent root survived the filters; fall back to the
@@ -424,7 +441,7 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
         y = cmath.sqrt(y2)
         best = (
             [x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y],
-            ["resolvent-fallback"] * 4,
+            _FALLBACK_TAGS,
             None,
         )
     return _finish(coeffs_rev, scale, *best)
@@ -446,11 +463,11 @@ def solve(p: RealPolynomial) -> RootSet:
         raise UnsupportedDegreeError(degree)
 
     if degree == 1:
-        roots, tags = [complex(-p.monic().coefficients[0], 0.0)], ("linear",)
+        roots, tags = [complex(-_monic_coefficients(p)[0], 0.0)], ("linear",)
     elif degree == 2:
-        monic_p = p.monic()
-        inner = solve_quadratic(monic_p.coefficients[1], monic_p.coefficients[0])
-        if monic_p is p:
+        b, a, _ = _monic_coefficients(p)
+        inner = solve_quadratic(a, b)
+        if p.coefficients[-1] == 1.0:
             return inner
         roots, tags = inner.roots, inner.branch_tags
     elif degree == 3:
