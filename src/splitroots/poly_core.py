@@ -117,10 +117,11 @@ class DepressedQuartic(_Record):
 class RootSet(_Record):
     """Roots together with their residuals and the branch that produced each.
 
-    The public constructor validates: it checks that the three sequences have
-    equal length and stores them as tuples of ``complex``, ``float`` and the
-    tags as given.  The solver builds its results through :meth:`_trusted`
-    instead, from tuples it has already made of exactly those types.
+    The public constructor validates its input: the three sequences must have
+    equal length, and they are stored as tuples, the roots converted to
+    ``complex`` and the residuals to ``float``.  The solver builds its results
+    through the private :meth:`_trusted` instead, from tuples it has already
+    made of those types.
     """
 
     _fields = ("roots", "residuals", "branch_tags")

@@ -67,7 +67,8 @@ OMEGA = OMEGA_ANSATZ.omega
 # sqrt(3)/2 are both preserved by the subtraction).
 ONE_MINUS_OMEGA = 1.0 - OMEGA
 
-# A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis.
+# A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
+# (in _finish).
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
@@ -210,9 +211,9 @@ def _polish_root(
 ) -> tuple[complex, float]:
     # Newton steps, each kept only if the residual drops.  ``residual``, when
     # given, is |p(z)| already computed by the caller.  A kept step's
-    # evaluation supplies the value and derivative for the next.  _finish
-    # calls this only for a root whose residual is over the trigger, and does
-    # the real-axis snap and the -0.0 normalization itself.
+    # evaluation supplies the value and derivative for the next.  The solver
+    # calls this only from _finish, for a root whose residual is over the
+    # trigger; the real-axis snap and the -0.0 normalization are _finish's.
     if residual is None:
         residual = horner_abs(coeffs_rev, z)
     if residual > _POLISH_TRIGGER * scale:
@@ -240,12 +241,12 @@ def _finish(
     tags: Sequence[str],
     residuals: Sequence[float] | None = None,
 ) -> RootSet:
-    # Polish, snap to the real axis, normalize -0.0 components and record the
-    # final residuals.  ``residuals``, when given, are the roots' |p(z)|
-    # already computed by the caller.  Few roots need a Newton step, so
-    # _polish_root runs only for those.  The tuples built here hold complex
-    # roots and float residuals already, so the RootSet skips the public
-    # constructor's checks and conversions.
+    # Polish the roots whose residual is over the trigger (few are), snap
+    # near-real roots onto the real axis, normalize -0.0 components and record
+    # the final residuals.  ``residuals``, when given, are the roots' |p(z)|
+    # already computed by the caller.  The result is built by RootSet._trusted,
+    # not the validating public constructor: the roots here are complex and
+    # the residuals float already.
     if residuals is None:
         residuals = [horner_abs(coeffs_rev, z) for z in roots]
     trigger = _POLISH_TRIGGER * scale
@@ -254,11 +255,13 @@ def _finish(
     for z, residual in zip(roots, residuals):
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
-        if z.imag != 0.0 and abs(z.imag) <= _IMAG_SNAP * max(1.0, abs(z.real)):
+        im = z.imag
+        if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(z.real)):
             z = complex(z.real, 0.0)
             residual = horner_abs(coeffs_rev, z)
-        if z.imag == 0.0 or z.real == 0.0:
-            z = complex(z.real + 0.0, z.imag + 0.0)
+            im = 0.0
+        if im == 0.0 or z.real == 0.0:
+            z = complex(z.real + 0.0, im + 0.0)
         out_roots.append(z)
         out_residuals.append(residual)
     return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
@@ -357,17 +360,16 @@ def _refine_resolvent_root(r2: float, r1: float, r0: float, t: float) -> float:
     the resolvent itself restore full relative accuracy (and can pull a root
     that cancellation pushed slightly negative back across zero).
     """
-
-    def value(u: float) -> float:
-        return ((u + r2) * u + r1) * u + r0
-
-    best_t, best_r = t, abs(value(t))
+    # The value at a kept step is the one the next step starts from.
+    v = ((t + r2) * t + r1) * t + r0
+    best_t, best_r = t, abs(v)
     for _ in range(6):
         d = (3.0 * t + 2.0 * r2) * t + r1
         if d == 0.0:
             break
-        t = t - value(t) / d
-        r = abs(value(t))
+        t = t - v / d
+        v = ((t + r2) * t + r1) * t + r0
+        r = abs(v)
         if r < best_r:
             best_t, best_r = t, r
         else:

@@ -14,6 +14,8 @@ from splitroots.poly_core import (
     DepressedCubic,
     DepressedQuartic,
     RealPolynomial,
+    RootSet,
+    _monic_coefficients,
     depress_cubic,
     depress_quartic,
     evaluate,
@@ -613,3 +615,247 @@ class TestHornerPasses:
         z0 = complex(math.sqrt(2.0), 0.0)
         known = abs(evaluate(RealPolynomial((-2.0, 0.0, 1.0)), z0))
         assert split_solver._polish_root((1.0, 0.0, -2.0), z0, 2.0, known) == (z0, known)
+
+
+# ---------------------------------------------------------------------------
+# the finishing pass: bit identity with the per-root reference, and its cost
+# ---------------------------------------------------------------------------
+
+
+def _reference_polish_root(coeffs_rev, z, scale, residual=None):
+    # The per-root polish as _finish used to run it on every root: Newton
+    # steps, the real-axis snap and the -0.0 normalization in one function.
+    if residual is None:
+        residual = split_solver.horner_abs(coeffs_rev, z)
+    if residual > split_solver._POLISH_TRIGGER * scale:
+        value, deriv = split_solver.horner_with_derivative(coeffs_rev, z)
+        for _ in range(8):
+            if deriv == 0:
+                break
+            candidate = z - value / deriv
+            candidate_value, candidate_deriv = split_solver.horner_with_derivative(coeffs_rev, candidate)
+            r = abs(candidate_value)
+            if r < residual:
+                z, residual = candidate, r
+                value, deriv = candidate_value, candidate_deriv
+            else:
+                break
+            if residual <= split_solver._POLISH_TRIGGER * scale:
+                break
+    if z.imag != 0.0 and abs(z.imag) <= split_solver._IMAG_SNAP * max(1.0, abs(z.real)):
+        z = complex(z.real, 0.0)
+        residual = split_solver.horner_abs(coeffs_rev, z)
+    if z.imag == 0.0 or z.real == 0.0:
+        z = complex(z.real + 0.0, z.imag + 0.0)
+    return z, residual
+
+
+def _reference_finish(coeffs_rev, scale, roots, tags, residuals=None):
+    # The reference finishing pass: the polish above on every root, then the
+    # public, validating RootSet constructor.
+    if residuals is None:
+        residuals = [None] * len(roots)
+    out_roots = []
+    out_residuals = []
+    for z, residual in zip(roots, residuals):
+        z, residual = _reference_polish_root(coeffs_rev, z, scale, residual)
+        out_roots.append(z)
+        out_residuals.append(residual)
+    return RootSet(roots=tuple(out_roots), residuals=tuple(out_residuals), branch_tags=tuple(tags))
+
+
+def _fuzz_coefficient(rng: random.Random) -> float:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.uniform(-10.0, 10.0)
+    if kind == 1:
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+    if kind == 2:
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.choice((-200, 200))
+    if kind == 3:
+        return rng.choice((0.0, -0.0))
+    return float(rng.randint(-4, 4))
+
+
+def _fuzz_calls(seed: int, n: int):
+    """``n`` seeded calls to solve and the three inner solvers, as (function, args)."""
+    rng = random.Random(seed)
+    calls = []
+    for k in range(n):
+        c = _fuzz_coefficient
+        kind = k % 4
+        if kind == 0:
+            degree = rng.randint(1, 4)
+            coeffs = [c(rng) for _ in range(degree)] + [rng.choice((1.0, 1.0, -2.0, 1e-3, c(rng)))]
+            if coeffs[-1] == 0.0:
+                coeffs[-1] = 1.0
+            calls.append((solve, (RealPolynomial(coeffs),)))
+        elif kind == 1:
+            calls.append((solve_quadratic, (c(rng), c(rng))))
+        elif kind == 2:
+            calls.append((solve_depressed_cubic, (DepressedCubic(c(rng), c(rng)),)))
+        else:
+            calls.append((solve_depressed_quartic, (DepressedQuartic(c(rng), c(rng), c(rng)),)))
+    return calls
+
+
+def _outcome(fn, args) -> str:
+    try:
+        return repr(fn(*args))
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+FUZZ_CALLS = _fuzz_calls(20261018, 4000)
+
+
+class TestFinishBitIdentity:
+    def test_solvers_match_the_reference_finish(self, monkeypatch):
+        # The reference sees the same calls through split_solver's global
+        # _finish, the quartic's resolvent roots included.
+        polish_calls = [0]
+        polish = split_solver._polish_root
+
+        def counting(*args):
+            polish_calls[0] += 1
+            return polish(*args)
+
+        monkeypatch.setattr(split_solver, "_polish_root", counting)
+        got = [_outcome(fn, args) for fn, args in FUZZ_CALLS]
+        monkeypatch.setattr(split_solver, "_finish", _reference_finish)
+        want = [_outcome(fn, args) for fn, args in FUZZ_CALLS]
+        assert got == want
+        # The corpus reaches the Newton path, non-finite results and the
+        # solvers' ValueErrors.
+        assert polish_calls[0] >= 50
+        assert sum("Error:" in text for text in got) >= 50
+        assert sum("nan" in text or "inf" in text for text in got) >= 50
+
+    def test_monic_coefficients_match_monic_for_low_degrees(self):
+        # solve() reads a linear or quadratic polynomial's monic coefficients
+        # without building p.monic(); the numbers and the error text agree.
+        for fn, args in FUZZ_CALLS:
+            if fn is solve and args[0].degree <= 2:
+                p = args[0]
+                assert _outcome(lambda: _monic_coefficients(p), ()) == _outcome(
+                    lambda: p.monic().coefficients, ()
+                )
+
+    @pytest.mark.parametrize(
+        "coeffs_rev, scale, roots, residuals",
+        [
+            # residual over the trigger: Newton steps from 1e-3 off sqrt(2)
+            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)], None),
+            # snap-eligible roots, with and without a Newton step first
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)], None),
+            # -0.0 real part, -0.0 imaginary part, both, and a -0.0 snap result
+            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)], None),
+            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)], None),
+            # non-finite values: a nan residual, an overflowing one, nan roots
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)], None),
+            # residuals passed in by the caller, a nan one among them
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 0.0), complex(-1.0, 1e-9)], [0.0, 2e-9]),
+            ((1.0, 0.0, -2.0), 2.0, [complex(1.5, 0.0), complex(-0.0, 1.0)], [math.nan, 3.0]),
+            ((1.0, 0.0, -2.0, 1.0), 2.0, [1 + 0j, complex(1.7, 1e-9), complex(-1.6, -0.0)], [0.0, 1.0, 0.5]),
+        ],
+    )
+    def test_hand_cases(self, coeffs_rev, scale, roots, residuals):
+        tags = [f"t{k}" for k in range(len(roots))]
+        got = split_solver._finish(coeffs_rev, scale, roots, tags, residuals)
+        want = _reference_finish(coeffs_rev, scale, roots, tags, residuals)
+        assert repr(got) == repr(want)
+
+
+class TestFinishCommonPath:
+    # Coefficients, lowest power first, and the value passes the solve makes
+    # when no root needs a Newton step or the real-axis snap: a cubic's
+    # depressed and source finish take 3 each; a quartic's resolvent takes 3,
+    # its one positive resolvent root's candidate set 4 and the source finish 4.
+    CASES = [((-5.0, -9.0, -9.0, 1.0), 6), ((8.0, -4.0, 6.0, 1.0, 1.0), 11)]
+
+    @pytest.mark.parametrize("coeffs, value_passes", CASES)
+    def test_no_polish_call_and_no_public_rootset(self, monkeypatch, coeffs, value_passes):
+        passes = {"polish": 0, "value": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                passes[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("solve() built a RootSet through the public constructor")
+
+        expected = solve(RealPolynomial(coeffs))
+        monkeypatch.setattr(split_solver, "_polish_root", counting("polish", split_solver._polish_root))
+        monkeypatch.setattr(split_solver, "horner_abs", counting("value", horner_abs))
+        monkeypatch.setattr(RootSet, "__init__", forbidden)
+        rs = solve(RealPolynomial(coeffs))
+        assert passes == {"polish": 0, "value": value_passes}
+        assert repr(rs) == repr(expected)
+
+
+class TestReturnedRootSets:
+    def test_types_and_public_rebuild(self):
+        for fn, args in FUZZ_CALLS:
+            try:
+                rs = fn(*args)
+            except ValueError:
+                continue
+            assert type(rs) is RootSet
+            assert type(rs.roots) is tuple and type(rs.residuals) is tuple and type(rs.branch_tags) is tuple
+            assert all(type(z) is complex for z in rs.roots)
+            assert all(type(r) is float for r in rs.residuals)
+            assert all(type(tag) is str for tag in rs.branch_tags)
+            rebuilt = RootSet(rs.roots, rs.residuals, rs.branch_tags)
+            assert rebuilt == rs
+            assert hash(rebuilt) == hash(rs)
+            assert repr(rebuilt) == repr(rs)
+
+
+class TestBranchTagOrder:
+    # Each path's tags, in the order of its roots, as docs/output-schema.md
+    # names them.
+    @pytest.mark.parametrize(
+        "fn, args, tags",
+        [
+            (solve_quadratic, (-3.0, 2.0), ("trivial-imaginary-branch:+", "trivial-imaginary-branch:-")),
+            (solve_quadratic, (2.0, 2.0), ("conjugate-branch:+", "conjugate-branch:-")),
+            (solve_depressed_cubic, (DepressedCubic(0.0, 0.0),), ("triple-zero",) * 3),
+            (solve_depressed_cubic, (DepressedCubic(0.0, 8.0),), ("cube-root-0", "cube-root-1", "cube-root-2")),
+            (
+                solve_depressed_cubic,
+                (DepressedCubic(1e-110, 0.0),),
+                ("near-origin-degenerate:0", "near-origin-degenerate:1", "near-origin-degenerate:2"),
+            ),
+            (
+                solve_depressed_cubic,
+                (DepressedCubic(-7.0, 6.0),),
+                ("omega-branch-0:+", "omega-branch-1:+", "omega-branch-2:+"),
+            ),
+            (
+                solve_depressed_cubic,
+                (DepressedCubic(1e-120, -1.0),),
+                ("omega-branch-0:-", "omega-branch-1:-", "omega-branch-2:-"),
+            ),
+            (
+                solve_depressed_quartic,
+                (DepressedQuartic(0.0, 0.0, 9.0),),
+                ("biquadratic-0:+", "biquadratic-0:-", "biquadratic-1:+", "biquadratic-1:-"),
+            ),
+            *(
+                (
+                    solve_depressed_quartic,
+                    (DepressedQuartic(*abc),),
+                    tuple(f"resolvent-root-{j}:{xy}" for xy in ("x+:y+", "x+:y-", "x-:y+", "x-:y-")),
+                )
+                for j, abc in enumerate(((-1.0, -6.0, 6.0), (-6.0, -4.0, 0.0), (-5.0, 9.0, -7.0)))
+            ),
+        ],
+    )
+    def test_tags(self, fn, args, tags):
+        assert fn(*args).branch_tags == tags
