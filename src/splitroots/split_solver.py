@@ -73,19 +73,13 @@ _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
 
-# Branch tags, built once rather than formatted on every solve.
-_REAL_PAIR_TAGS = ("trivial-imaginary-branch:+", "trivial-imaginary-branch:-")
-_CONJUGATE_PAIR_TAGS = ("conjugate-branch:+", "conjugate-branch:-")
-_TRIPLE_ZERO_TAGS = ("triple-zero",) * 3
-_CUBE_ROOT_TAGS = ("cube-root-0", "cube-root-1", "cube-root-2")
-_NEAR_ORIGIN_TAGS = tuple(f"near-origin-degenerate:{k}" for k in range(3))
+# Branch tags that depend on a branch sign or a resolvent root index, built
+# once rather than formatted on every solve.  _RESOLVENT_TAGS[j] tags resolvent
+# root j's candidate roots in x+y+, x+y-, x-y+, x-y- order.
 _OMEGA_TAGS = {sign: tuple(f"omega-branch-{k}:{sign}" for k in range(3)) for sign in "+-"}
-_BIQUADRATIC_TAGS = tuple(f"biquadratic-{i}:{sign}" for i in range(2) for sign in "+-")
-# Index j: the four candidate roots of resolvent root j, in x+y+, x+y-, x-y+, x-y- order.
 _RESOLVENT_TAGS = tuple(
     tuple(f"resolvent-root-{j}:{x}:{y}" for x in ("x+", "x-") for y in ("y+", "y-")) for j in range(3)
 )
-_FALLBACK_TAGS = ("resolvent-fallback",) * 4
 
 
 class UnsupportedDegreeError(ValueError):
@@ -302,11 +296,11 @@ def solve_quadratic(a: float, b: float) -> RootSet:
             r_minus = x - s
             r_plus = b / r_minus if r_minus != 0.0 else x + s
         roots = [complex(r_plus, 0.0), complex(r_minus, 0.0)]
-        tags = _REAL_PAIR_TAGS
+        tags = ("trivial-imaginary-branch:+", "trivial-imaginary-branch:-")
     else:
         y = math.sqrt(b - x * x)
         roots = [complex(x, y), complex(x, -y)]
-        tags = _CONJUGATE_PAIR_TAGS
+        tags = ("conjugate-branch:+", "conjugate-branch:-")
     scale = max(1.0, abs(a), abs(b))
     return _finish((1.0, a, b), scale, roots, tags)
 
@@ -321,12 +315,12 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
     """
     if a == 0.0:
         if b == 0.0:
-            return [0j, 0j, 0j], _TRIPLE_ZERO_TAGS
+            return [0j, 0j, 0j], ("triple-zero",) * 3
         # w**3 = -b: take the real cube root exactly, rotate for the pair.
         r = _real_cbrt(-b)
         rot = complex(-0.5, math.sqrt(3.0) / 2.0)
         roots = [complex(r, 0.0), r * rot, r * rot.conjugate()]
-        return roots, _CUBE_ROOT_TAGS
+        return roots, ("cube-root-0", "cube-root-1", "cube-root-2")
 
     disc = 0.25 * b * b + a * a * a / 27.0
     sqrt_disc = cmath.sqrt(complex(disc, 0.0))
@@ -339,7 +333,8 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
         # Both branches vanished: b ~ 0 and a**3 underflowed, so the equation
         # is effectively w*(w**2 + a) = 0; solve that form directly.
         r = cmath.sqrt(complex(-a, 0.0))
-        return [complex(0.0, 0.0), r, -r], _NEAR_ORIGIN_TAGS
+        tags = ("near-origin-degenerate:0", "near-origin-degenerate:1", "near-origin-degenerate:2")
+        return [complex(0.0, 0.0), r, -r], tags
 
     third_a = a / 3.0
     roots = [ONE_MINUS_OMEGA * x - OMEGA * (third_a / x) for x in _cube_roots(x_cubed)]
@@ -400,7 +395,8 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
         for u in solve_quadratic(a, c).roots:
             s = cmath.sqrt(u)
             roots.extend([s, -s])
-        return _finish(coeffs_rev, scale, roots, _BIQUADRATIC_TAGS)
+        tags = ("biquadratic-0:+", "biquadratic-0:-", "biquadratic-1:+", "biquadratic-1:-")
+        return _finish(coeffs_rev, scale, roots, tags)
 
     _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
@@ -443,7 +439,7 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
         y = cmath.sqrt(y2)
         best = (
             [x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y],
-            _FALLBACK_TAGS,
+            ("resolvent-fallback",) * 4,
             None,
         )
     return _finish(coeffs_rev, scale, *best)
