@@ -625,6 +625,8 @@ class TestHornerPasses:
 def _reference_polish_root(coeffs_rev, z, scale, residual=None):
     # The per-root polish as _finish used to run it on every root: Newton
     # steps, the real-axis snap and the -0.0 normalization in one function.
+    # A change meant to move roots, such as a relative snap, changes this
+    # reference with it.
     if residual is None:
         residual = split_solver.horner_abs(coeffs_rev, z)
     if residual > split_solver._POLISH_TRIGGER * scale:
@@ -680,9 +682,9 @@ def _fuzz_coefficient(rng: random.Random) -> float:
 def _fuzz_calls(seed: int, n: int):
     """``n`` seeded calls to solve and the three inner solvers, as (function, args)."""
     rng = random.Random(seed)
+    c = _fuzz_coefficient
     calls = []
     for k in range(n):
-        c = _fuzz_coefficient
         kind = k % 4
         if kind == 0:
             degree = rng.randint(1, 4)
