@@ -149,17 +149,8 @@ class OutputRecord(_MutableRecord):
         self.diagnostics = diagnostics
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "polynomial": self.polynomial,
-            "method": self.method,
-            "roots": [
-                {"re": r.re, "im": r.im, "residual": r.residual, "branch_tag": r.branch_tag}
-                for r in self.roots
-            ],
-        }
-        if self.diagnostics is not None:
-            d["diagnostics"] = self.diagnostics
-        return d
+        roots = [(r.re, r.im, r.residual, r.branch_tag) for r in self.roots]
+        return _record_dict(self.polynomial, self.method, roots, self.diagnostics)
 
     @classmethod
     def from_dict(cls, d: dict) -> OutputRecord:
@@ -169,6 +160,25 @@ class OutputRecord(_MutableRecord):
             roots=[RootRecord(**r) for r in d["roots"]],
             diagnostics=d.get("diagnostics"),
         )
+
+
+def _record_dict(polynomial: str, method: str, roots, diagnostics: dict | None) -> dict:
+    """The ``--json`` output record; ``roots`` holds ``(re, im, residual, branch_tag)`` rows.
+
+    The one place the record layout is written down: :meth:`OutputRecord.to_dict`
+    and the CLI's own records both come from here.
+    """
+    record = {
+        "polynomial": polynomial,
+        "method": method,
+        "roots": [
+            {"re": re, "im": im, "residual": residual, "branch_tag": tag}
+            for re, im, residual, tag in roots
+        ],
+    }
+    if diagnostics is not None:
+        record["diagnostics"] = diagnostics
+    return record
 
 
 def _fmt_num(v: float) -> str:
@@ -201,12 +211,13 @@ def _parse(text: str):
 
 
 def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None:
-    scale = max(1.0, max(abs(c) for c in p.coefficients))
+    bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
+    degree = p.degree
     # A non-finite residual (nan compares false) is over any threshold.
     offenders = [
         z
         for z, r in zip(rs.roots, rs.residuals)
-        if not math.isfinite(r) or r > tolerance * scale * max(1.0, abs(z)) ** p.degree
+        if not math.isfinite(r) or r > bound * max(1.0, abs(z)) ** degree
     ]
     for z in offenders:
         print(
@@ -215,18 +226,24 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
         )
 
 
-def _emit_json(record: OutputRecord, batch: bool) -> int:
+def _emit_json(record: dict, batch: bool) -> int:
     try:
-        # Strict JSON has no NaN or Infinity; a record holding one is not printed.
-        text = json.dumps(record.to_dict(), indent=None if batch else 2, allow_nan=False)
+        # Strict JSON has no NaN or Infinity; a record holding one is not
+        # printed.  The record is a tree of fresh dicts and lists, so the
+        # encoder's cycle check has nothing to find.
+        text = json.dumps(
+            record, indent=None if batch else 2, allow_nan=False, check_circular=False
+        )
     except ValueError:
         print(
-            f"error: the record for {record.polynomial} holds a non-finite number, "
+            f"error: the record for {record['polynomial']} holds a non-finite number, "
             "which JSON cannot represent",
             file=sys.stderr,
         )
         return _EXIT_NOT_FINITE
-    print(text)
+    # One write per record: print would write the newline separately, and an
+    # unbuffered stdout makes every write a system call.
+    sys.stdout.write(text + "\n")
     return _EXIT_OK
 
 
@@ -239,13 +256,8 @@ def _report(p, variable, method, rs, rows, head, tail, diagnostics, args, batch)
     """
     echo = format_polynomial(p, variable)
     if args.json:
-        record = OutputRecord(
-            polynomial=echo,
-            method=method,
-            roots=[RootRecord(z.real, z.imag, residual, tag) for z, residual, tag in rows],
-            diagnostics=diagnostics or None,
-        )
-        code = _emit_json(record, batch)
+        roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
+        code = _emit_json(_record_dict(echo, method, roots, diagnostics or None), batch)
     else:
         lines = [f"polynomial: {echo}", f"method: {method}", *head, "roots:"]
         for z, residual, tag in rows:
@@ -441,8 +453,7 @@ def cmd_split_system(args) -> int:
         diagnostics["split_residuals"] = split_residuals
 
     if args.json:
-        record = OutputRecord(echo, "split-closed-form", [], diagnostics or None)
-        return _emit_json(record, batch=False)
+        return _emit_json(_record_dict(echo, "split-closed-form", [], diagnostics or None), batch=False)
     print("\n".join(lines))
     return _EXIT_OK
 

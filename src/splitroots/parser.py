@@ -20,7 +20,21 @@ import re
 
 from .poly_core import RealPolynomial
 
-_NUMBER_RE = re.compile(r"\d+\.?\d*|\.\d+")
+# One term: sign, coefficient, '*', variable and exponent, each optional and
+# each followed by whitespace.  Every part is optional, so the match never
+# fails and stops where the term stops; the parser then reports what is
+# missing or wrong.  The empty groups ``c``, ``v`` and ``e`` mark where the
+# coefficient, the variable and the exponent start (or would start), the
+# positions errors are reported at; ``e`` also participates exactly when a
+# '^' follows the variable.  ``\s`` and ``\d`` match the characters
+# ``str.isspace`` and ``str.isdecimal`` accept.
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*"
+    r"(?P<c>)(?P<coefficient>\d+\.?\d*|\.\d+)?\s*"
+    r"(?P<star>\*)?\s*"
+    r"(?P<v>)(?:(?P<variable>[A-Za-z])(?:\s*\^\s*(?P<e>)(?P<exponent>\d+)?)?)?"
+    r"\s*"
+)
 
 # Exponents beyond this build nothing useful and only eat memory.
 _MAX_EXPONENT = 4096
@@ -49,95 +63,75 @@ def parse_polynomial(text: str) -> RealPolynomial:
 def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
     """Like :func:`parse_polynomial` but also reports the variable letter used."""
     n = len(text)
+    if not text or text.isspace():
+        raise ParseError(0, "empty input", "empty-input")
     powers: dict[int, float] = {}
     variable: str | None = None
+    match = _TERM_RE.match
+    # An error at the end of the text is reported at its last character, so
+    # that positions always index into the source.
+    last = n - 1
 
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def here(i: int) -> int:
-        # Clamp so reported positions always index into the source.
-        return min(i, n - 1) if n else 0
-
-    i = skip_ws(0)
-    if i == n:
-        raise ParseError(0, "empty input", "empty-input")
-
-    first = True
+    i = 0
     while i < n:
-        sign = 1.0
-        ch = text[i]
-        if ch == "-" or ch == "+":
-            sign = -1.0 if ch == "-" else 1.0
-            i = skip_ws(i + 1)
-            if i == n:
-                raise ParseError(here(n), "expected a term after the sign", "unexpected-token")
-        elif not first:
-            raise ParseError(i, f"expected '+' or '-' before {ch!r}", "unexpected-token")
-        first = False
+        m = match(text, i)
+        sign, _, digits, star, _, letter, caret, exponent_digits = m.groups()
+        if sign is None and i:
+            # Every term after the first needs a sign; i is past the
+            # whitespace that ended the previous term.
+            raise ParseError(i, f"expected '+' or '-' before {text[i]!r}", "unexpected-token")
 
-        coefficient: float | None = None
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            coefficient = float(m.group())
+        if digits is not None:
+            coefficient = float(digits)
             if not math.isfinite(coefficient):
-                raise ParseError(i, f"coefficient {m.group()!r} overflows a float", "overflow")
-            i = skip_ws(m.end())
-
-        saw_star = False
-        if i < n and text[i] == "*":
-            if coefficient is None:
-                raise ParseError(i, "'*' must follow a coefficient", "unexpected-token")
-            saw_star = True
-            i = skip_ws(i + 1)
-
-        power = 0
-        if i < n and text[i].isalpha() and text[i].isascii():
-            if variable is None:
-                variable = text[i]
-            elif text[i] != variable:
                 raise ParseError(
-                    i,
-                    f"variable {text[i]!r} conflicts with {variable!r} used earlier",
+                    m.start("coefficient"), f"coefficient {digits!r} overflows a float", "overflow"
+                )
+        elif star is not None:
+            raise ParseError(m.start("star"), "'*' must follow a coefficient", "unexpected-token")
+        else:
+            coefficient = 1.0
+
+        if letter is not None:
+            if variable is None:
+                variable = letter
+            elif letter != variable:
+                raise ParseError(
+                    m.start("variable"),
+                    f"variable {letter!r} conflicts with {variable!r} used earlier",
                     "multiple-variables",
                 )
-            i += 1
-            j = skip_ws(i)
-            if j < n and text[j] == "^":
-                i = skip_ws(j + 1)
-                if i == n or not text[i].isdecimal():
-                    raise ParseError(
-                        here(i), "exponent must be a nonnegative integer", "bad-exponent"
-                    )
-                digits_start = i
-                while i < n and text[i].isdecimal():
-                    i += 1
-                exponent = int(text[digits_start:i])
-                if exponent > _MAX_EXPONENT:
-                    raise ParseError(
-                        digits_start, f"exponent {exponent} is too large", "overflow"
-                    )
-                power = exponent
+            if exponent_digits is not None:
+                power = int(exponent_digits)
+                if power > _MAX_EXPONENT:
+                    raise ParseError(m.start("e"), f"exponent {power} is too large", "overflow")
+            elif caret is not None:
+                raise ParseError(
+                    min(m.start("e"), last), "exponent must be a nonnegative integer", "bad-exponent"
+                )
             else:
                 power = 1
-        elif saw_star:
-            raise ParseError(here(i), "expected a variable after '*'", "unexpected-token")
-        elif coefficient is None:
-            raise ParseError(here(i), "expected a coefficient or a variable", "unexpected-token")
+        elif star is not None:
+            raise ParseError(min(m.start("v"), last), "expected a variable after '*'", "unexpected-token")
+        elif digits is None:
+            if m.start("c") == n:  # only a sign, then whitespace to the end
+                raise ParseError(last, "expected a term after the sign", "unexpected-token")
+            raise ParseError(
+                min(m.start("v"), last), "expected a coefficient or a variable", "unexpected-token"
+            )
+        else:
+            power = 0
 
-        powers[power] = powers.get(power, 0.0) + sign * (
-            coefficient if coefficient is not None else 1.0
-        )
-        i = skip_ws(i)
+        powers[power] = powers.get(power, 0.0) + (-coefficient if sign == "-" else coefficient)
+        i = m.end()
 
-    if all(v == 0.0 for v in powers.values()):
+    nonzero = [k for k, v in powers.items() if v != 0.0]
+    if not nonzero:
         raise ParseError(0, "polynomial is identically zero", "empty-input")
-    degree = max(k for k, v in powers.items() if v != 0.0)
+    degree = max(nonzero)
     if degree == 0:
         raise ParseError(0, "constant input has no variable term", "empty-input")
-    coefficients = tuple(powers.get(k, 0.0) for k in range(degree + 1))
+    coefficients = tuple([powers.get(k, 0.0) for k in range(degree + 1)])
     return RealPolynomial(coefficients), variable if variable is not None else "z"
 
 
@@ -158,9 +152,10 @@ def format_polynomial(p: RealPolynomial, variable: str = "z") -> str:
 
     Output always re-parses to exactly the same coefficients.
     """
+    coefficients = p.coefficients
     parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficients[k] if k < len(p.coefficients) else 0.0
+    for k in range(len(coefficients) - 1, -1, -1):
+        c = coefficients[k]
         if c == 0.0:
             continue
         magnitude = abs(c)

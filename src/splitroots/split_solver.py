@@ -206,8 +206,8 @@ def _polish_root(
     # Newton steps, each kept only if the residual drops.  ``residual``, when
     # given, is |p(z)| already computed by the caller.  A kept step's
     # evaluation supplies the value and derivative for the next.  The solver
-    # calls this only from _finish, for a root whose residual is over the
-    # trigger; the real-axis snap and the -0.0 normalization are _finish's.
+    # calls this only from _settle, for a root whose residual is over the
+    # trigger; the real-axis snap and the -0.0 normalization are _settle's.
     if residual is None:
         residual = horner_abs(coeffs_rev, z)
     if residual > _POLISH_TRIGGER * scale:
@@ -228,6 +228,40 @@ def _polish_root(
     return z, residual
 
 
+def _settle(
+    coeffs_rev: tuple[float, ...],
+    scale: float,
+    roots: Sequence[complex],
+    residuals: Sequence[float] | None,
+    out_residuals: list[float] | None,
+) -> list[complex]:
+    # Polish the roots whose residual is over the trigger (few are), snap
+    # near-real roots onto the real axis and normalize -0.0 components.
+    # ``residuals``, when given, are the roots' |p(z)| already computed by the
+    # caller.  The final residuals are appended to ``out_residuals``; a caller
+    # that reads only the roots passes None, and a snapped root is then not
+    # evaluated again.
+    if residuals is None:
+        residuals = [horner_abs(coeffs_rev, z) for z in roots]
+    trigger = _POLISH_TRIGGER * scale
+    out_roots: list[complex] = []
+    for z, residual in zip(roots, residuals):
+        if residual > trigger:
+            z, residual = _polish_root(coeffs_rev, z, scale, residual)
+        im = z.imag
+        if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(z.real)):
+            z = complex(z.real, 0.0)
+            if out_residuals is not None:
+                residual = horner_abs(coeffs_rev, z)
+            im = 0.0
+        if im == 0.0 or z.real == 0.0:
+            z = complex(z.real + 0.0, im + 0.0)
+        out_roots.append(z)
+        if out_residuals is not None:
+            out_residuals.append(residual)
+    return out_roots
+
+
 def _finish(
     coeffs_rev: tuple[float, ...],
     scale: float,
@@ -235,29 +269,11 @@ def _finish(
     tags: Sequence[str],
     residuals: Sequence[float] | None = None,
 ) -> RootSet:
-    # Polish the roots whose residual is over the trigger (few are), snap
-    # near-real roots onto the real axis, normalize -0.0 components and record
-    # the final residuals.  ``residuals``, when given, are the roots' |p(z)|
-    # already computed by the caller.  The result is built by RootSet._trusted,
-    # not the validating public constructor: the roots here are complex and
-    # the residuals float already.
-    if residuals is None:
-        residuals = [horner_abs(coeffs_rev, z) for z in roots]
-    trigger = _POLISH_TRIGGER * scale
-    out_roots: list[complex] = []
+    # The settled roots with their final residuals (see _settle).  The result
+    # is built by RootSet._trusted, not the validating public constructor:
+    # the roots here are complex and the residuals float already.
     out_residuals: list[float] = []
-    for z, residual in zip(roots, residuals):
-        if residual > trigger:
-            z, residual = _polish_root(coeffs_rev, z, scale, residual)
-        im = z.imag
-        if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(z.real)):
-            z = complex(z.real, 0.0)
-            residual = horner_abs(coeffs_rev, z)
-            im = 0.0
-        if im == 0.0 or z.real == 0.0:
-            z = complex(z.real + 0.0, im + 0.0)
-        out_roots.append(z)
-        out_residuals.append(residual)
+    out_roots = _settle(coeffs_rev, scale, roots, residuals, out_residuals)
     return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
 
 
@@ -402,13 +418,15 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
     # Depress the resolvent by t = u - r2/3 (the arithmetic of depress_cubic)
-    # and finish its omega roots there, as solve_depressed_cubic would.
+    # and settle its omega roots there, as solve_depressed_cubic's finish
+    # would; only the roots are needed, not their residuals.
     s = r2 / 3.0
     s2 = s * s
     ra = r1 - 3.0 * s2
     rb = r0 - s * (ra + s2)
     r_scale = max(1.0, abs(ra), abs(rb))
-    t_roots = [u - s for u in _finish((1.0, 0.0, ra, rb), r_scale, *_omega_cubic(ra, rb)).roots]
+    u_roots, _ = _omega_cubic(ra, rb)
+    t_roots = [u - s for u in _settle((1.0, 0.0, ra, rb), r_scale, u_roots, None, None)]
 
     best: tuple[list[complex], tuple[str, ...], list[float] | None] | None = None
     best_total = math.inf

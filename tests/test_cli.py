@@ -210,6 +210,73 @@ class TestJsonRecords:
             assert row["max_residual"] <= 1e-6
 
 
+class _CountingJson:
+    """Stands in for the json module in splitroots.cli, counting dumps calls."""
+
+    def __init__(self):
+        self.dumps_calls = 0
+
+    def dumps(self, *args, **kwargs):
+        self.dumps_calls += 1
+        return json.dumps(*args, **kwargs)
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestJsonEmit:
+    """Each --json record is one json.dumps call and one write ending in a newline."""
+
+    def _run(self, monkeypatch, argv, stdin=None):
+        from splitroots import cli
+
+        counting_json, stdout = _CountingJson(), _CountingStdout()
+        monkeypatch.setattr(cli, "json", counting_json)
+        monkeypatch.setattr("sys.stdout", stdout)
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        return code, counting_json.dumps_calls, stdout.writes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "z^3 - 7z + 6", "--json"],
+            ["solve", "z^4 - 3z^3 + 1", "--json", "--show-depressed", "--oracle"],
+            ["oracle", "z^2 + 1", "--json"],
+            ["split-system", "z^3 - 7z + 6", "--x=2", "--y=0", "--reduce", "--json"],
+        ],
+    )
+    def test_single_expression(self, monkeypatch, argv):
+        code, dumps_calls, writes = self._run(monkeypatch, argv)
+        assert (code, dumps_calls, len(writes)) == (0, 1, 1)
+        assert writes[0].endswith("}\n")
+        json.loads(writes[0])
+
+    @pytest.mark.parametrize("flags", [[], ["--show-depressed", "--oracle"]])
+    def test_batch(self, monkeypatch, flags):
+        # The third line's record holds a non-finite number: it is encoded
+        # once, refused, and not written.
+        lines = ["z^2 - 1", "z^3 - 7z + 6", "z^2 + 1" + "0" * 160 + "z + 1", "z^4 - 3z^3 + 1"]
+        code, dumps_calls, writes = self._run(
+            monkeypatch, ["solve", "--json", *flags], "\n".join(lines) + "\n"
+        )
+        assert (code, dumps_calls, len(writes)) == (4, 4, 3)
+        for text in writes:
+            assert text.endswith("}\n") and text.count("\n") == 1
+        polynomials = [json.loads(text)["polynomial"] for text in writes]
+        assert polynomials == ["z^2 - 1", "z^3 - 7z + 6", "z^4 - 3z^3 + 1"]
+
+
 class TestTextOutput:
     def test_cubic_split_note_present(self, capsys):
         main(["split-system", "z^3 - 7z + 6", "--x=2", "--y=0"])

@@ -1,6 +1,8 @@
 """Unit tests for the polynomial expression parser and printer."""
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +192,196 @@ class TestRoundTrip:
     def test_math_constants_round_trip(self):
         p = RealPolynomial((math.pi, -math.e, math.sqrt(2.0)))
         assert parse_polynomial(format_polynomial(p)).coefficients == p.coefficients
+
+
+# ---------------------------------------------------------------------------
+# reference: the character-loop parser the term regex replaced
+# ---------------------------------------------------------------------------
+
+_REFERENCE_NUMBER_RE = re.compile(r"\d+\.?\d*|\.\d+")
+
+
+def _reference_parse(text):
+    n = len(text)
+    powers = {}
+    variable = None
+
+    def skip_ws(i):
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def here(i):
+        return min(i, n - 1) if n else 0
+
+    i = skip_ws(0)
+    if i == n:
+        raise ParseError(0, "empty input", "empty-input")
+
+    first = True
+    while i < n:
+        sign = 1.0
+        ch = text[i]
+        if ch == "-" or ch == "+":
+            sign = -1.0 if ch == "-" else 1.0
+            i = skip_ws(i + 1)
+            if i == n:
+                raise ParseError(here(n), "expected a term after the sign", "unexpected-token")
+        elif not first:
+            raise ParseError(i, f"expected '+' or '-' before {ch!r}", "unexpected-token")
+        first = False
+
+        coefficient = None
+        m = _REFERENCE_NUMBER_RE.match(text, i)
+        if m:
+            coefficient = float(m.group())
+            if not math.isfinite(coefficient):
+                raise ParseError(i, f"coefficient {m.group()!r} overflows a float", "overflow")
+            i = skip_ws(m.end())
+
+        saw_star = False
+        if i < n and text[i] == "*":
+            if coefficient is None:
+                raise ParseError(i, "'*' must follow a coefficient", "unexpected-token")
+            saw_star = True
+            i = skip_ws(i + 1)
+
+        power = 0
+        if i < n and text[i].isalpha() and text[i].isascii():
+            if variable is None:
+                variable = text[i]
+            elif text[i] != variable:
+                raise ParseError(
+                    i,
+                    f"variable {text[i]!r} conflicts with {variable!r} used earlier",
+                    "multiple-variables",
+                )
+            i += 1
+            j = skip_ws(i)
+            if j < n and text[j] == "^":
+                i = skip_ws(j + 1)
+                if i == n or not text[i].isdecimal():
+                    raise ParseError(
+                        here(i), "exponent must be a nonnegative integer", "bad-exponent"
+                    )
+                digits_start = i
+                while i < n and text[i].isdecimal():
+                    i += 1
+                exponent = int(text[digits_start:i])
+                if exponent > 4096:
+                    raise ParseError(
+                        digits_start, f"exponent {exponent} is too large", "overflow"
+                    )
+                power = exponent
+            else:
+                power = 1
+        elif saw_star:
+            raise ParseError(here(i), "expected a variable after '*'", "unexpected-token")
+        elif coefficient is None:
+            raise ParseError(here(i), "expected a coefficient or a variable", "unexpected-token")
+
+        powers[power] = powers.get(power, 0.0) + sign * (
+            coefficient if coefficient is not None else 1.0
+        )
+        i = skip_ws(i)
+
+    if all(v == 0.0 for v in powers.values()):
+        raise ParseError(0, "polynomial is identically zero", "empty-input")
+    degree = max(k for k, v in powers.items() if v != 0.0)
+    if degree == 0:
+        raise ParseError(0, "constant input has no variable term", "empty-input")
+    coefficients = tuple(powers.get(k, 0.0) for k in range(degree + 1))
+    return RealPolynomial(coefficients), variable if variable is not None else "z"
+
+
+def _outcome(parse, text):
+    # What a parse gives: its coefficients (bit patterns, so -0.0 and 0.0
+    # differ) and variable, or its error's kind, position and message.
+    try:
+        p, variable = parse(text)
+    except ParseError as err:
+        return ("error", err.kind, err.position, err.message)
+    return ("ok", tuple(map(float.hex, p.coefficients)), variable)
+
+
+# Pieces the fuzz strings are made of: every token the grammar knows, the
+# whitespace and digit characters beyond ASCII that str.isspace and
+# str.isdecimal accept, characters that look like grammar but are not ('²',
+# 'e', '&', a non-ASCII letter), literals too long for a float and exponents
+# on both sides of the limit.  Common tokens are listed more than once.
+_FUZZ_PIECES = (
+    *"zzzzxZy++--**^^.", " ", " ", "  ", "\t", "\n", "\xa0", "\x1c", "\u2003", "\u3000",
+    *"0112779", "10", "0.5", ".25", "3.", "\u0663", "\u0663\u0665", "\uff17", "\u0967",
+    "\xb2", "e", "E", "1e5", "&", "\xe9", "\u03c0", "9" * 400, "4096", "4097", "99999",
+    "0" * 30 + "3",
+)
+_FUZZ_SPACES = ("", "", "", " ", " ", "  ", "\t", "\xa0", "\x1c")
+_FUZZ_COEFFICIENTS = ("1", "2", "2", "3.5", ".75", "10", "0", "\u0663", "12\u0665", "9" * 400)
+# 4096 and above build long coefficient tuples, so they are drawn rarely.
+_FUZZ_EXPONENTS = (*"01234" * 20, "4096", "4097", "1000000")
+
+
+def _fuzz_text(rng):
+    choice = rng.choice
+    if rng.random() < 0.4:
+        return "".join([choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 10))])
+    # A polynomial with random spacing; half of them get one piece swapped,
+    # dropped or inserted.
+    var = choice("zzxw")
+    parts = []
+    for k in range(rng.randint(1, 5)):
+        if k or rng.random() < 0.3:
+            parts += [choice(_FUZZ_SPACES), choice("+-"), choice(_FUZZ_SPACES)]
+        if rng.random() < 0.7:
+            parts += [choice(_FUZZ_COEFFICIENTS), choice(_FUZZ_SPACES)]
+            if rng.random() < 0.3:
+                parts += ["*", choice(_FUZZ_SPACES)]
+        if rng.random() < 0.8:
+            parts.append(var)
+            if rng.random() < 0.7:
+                parts += [choice(_FUZZ_SPACES), "^", choice(_FUZZ_SPACES), choice(_FUZZ_EXPONENTS)]
+        parts.append(choice(_FUZZ_SPACES))
+    if rng.random() < 0.5:
+        k = rng.randrange(len(parts))
+        action = rng.random()
+        if action < 0.4:
+            parts[k] = choice(_FUZZ_PIECES)
+        elif action < 0.7:
+            del parts[k]
+        else:
+            parts.insert(k, choice(_FUZZ_PIECES))
+    return "".join(parts)
+
+
+class TestMatchesReferenceParser:
+    """The term-regex parser against the character loop it replaced."""
+
+    def test_fuzzed_strings_agree_exactly(self):
+        rng = random.Random(20240909)
+        seen = {"ok": 0, "error": 0}
+        kinds = set()
+        for _ in range(200_000):
+            text = _fuzz_text(rng)
+            want = _outcome(_reference_parse, text)
+            got = _outcome(parse_polynomial_with_variable, text)
+            assert got == want, text
+            seen[want[0]] += 1
+            if want[0] == "error":
+                kinds.add(want[1])
+        # The corpus reaches both outcomes and every error kind.
+        assert seen["ok"] > 20_000 and seen["error"] > 20_000
+        assert kinds == {
+            "unexpected-token", "bad-exponent", "multiple-variables", "empty-input", "overflow"
+        }
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", " ", "\xa0\x1c", "+", "- ", "x^", "x^ ", "x ^\xa02", "x^\u0663", "x^\xb2",
+            "\u0663x^2 - \u0665", "2 * * x", "2*", "*x", "x*2", "2.x^2", ".", "x + .", "x - -x",
+            "x^2^3", "x^2 3", "2^3 + x", "x + y", "x\u2003+\u30001", "1e5x", "x^4097",
+            "x^" + "0" * 50 + "4096", "9" * 400 + "x", "x + " + "9" * 400, "z z", "\xe9^2",
+        ],
+    )
+    def test_hand_cases_agree_exactly(self, text):
+        assert _outcome(parse_polynomial_with_variable, text) == _outcome(_reference_parse, text)

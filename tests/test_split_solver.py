@@ -550,9 +550,11 @@ class TestHornerPasses:
             assert horner_abs(coeffs_rev, z) == abs(horner_with_derivative(coeffs_rev, z)[0])
 
     def test_quartic_without_newton_steps_evaluates_each_point_once(self, monkeypatch):
-        # 3 resolvent roots + 4 candidate residuals + 4 outer residuals + one
-        # real-axis snap re-check.  The kept candidate set's four residuals
-        # used to be evaluated again by the inner finish: 16 passes, not 12.
+        # 3 resolvent roots + 4 candidate residuals + 4 outer residuals.  The
+        # kept candidate set's four residuals used to be evaluated again by the
+        # inner finish (16 passes), and a resolvent root snapped onto the real
+        # axis used to be evaluated again although its residual is not read
+        # (12 passes).
         passes = {"full": 0, "value": 0}
 
         def counting(name, fn):
@@ -568,7 +570,7 @@ class TestHornerPasses:
         monkeypatch.setattr(split_solver, "horner_abs", counting("value", horner_abs))
         rs = solve(RealPolynomial((1.0, -3.0, 0.5, 2.0, 1.0)))
         assert rs.branch_tags[0].startswith("resolvent-root")
-        assert passes == {"full": 0, "value": 12}
+        assert passes == {"full": 0, "value": 11}
 
     @pytest.mark.parametrize("scale, rejected", [(2.0, 0), (0.0, 1)])
     def test_polish_root_makes_one_full_pass_per_candidate(self, monkeypatch, scale, rejected):
@@ -701,6 +703,14 @@ def _fuzz_calls(seed: int, n: int):
     return calls
 
 
+def _reference_settle(coeffs_rev, scale, roots, residuals, out_residuals):
+    # The resolvent's settle as the reference finish does it, residuals and all.
+    rs = _reference_finish(coeffs_rev, scale, roots, [""] * len(roots), residuals)
+    if out_residuals is not None:
+        out_residuals.extend(rs.residuals)
+    return list(rs.roots)
+
+
 def _outcome(fn, args) -> str:
     try:
         return repr(fn(*args))
@@ -713,8 +723,8 @@ FUZZ_CALLS = _fuzz_calls(20261018, 4000)
 
 class TestFinishBitIdentity:
     def test_solvers_match_the_reference_finish(self, monkeypatch):
-        # The reference sees the same calls through split_solver's global
-        # _finish, the quartic's resolvent roots included.
+        # The reference sees the same calls through split_solver's globals:
+        # _finish, and _settle for the quartic's resolvent roots.
         polish_calls = [0]
         polish = split_solver._polish_root
 
@@ -725,6 +735,7 @@ class TestFinishBitIdentity:
         monkeypatch.setattr(split_solver, "_polish_root", counting)
         got = [_outcome(fn, args) for fn, args in FUZZ_CALLS]
         monkeypatch.setattr(split_solver, "_finish", _reference_finish)
+        monkeypatch.setattr(split_solver, "_settle", _reference_settle)
         want = [_outcome(fn, args) for fn, args in FUZZ_CALLS]
         assert got == want
         # The corpus reaches the Newton path, non-finite results and the
