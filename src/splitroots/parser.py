@@ -20,14 +20,14 @@ import re
 
 from .poly_core import RealPolynomial
 
-# One term: sign, coefficient, '*', variable and exponent, each optional and
-# each followed by whitespace.  Every part is optional, so the match never
-# fails and stops where the term stops; the parser then reports what is
-# missing or wrong.  The empty groups ``c``, ``v`` and ``e`` mark where the
-# coefficient, the variable and the exponent start (or would start), the
-# positions errors are reported at; ``e`` also participates exactly when a
-# '^' follows the variable.  ``\s`` and ``\d`` match the characters
-# ``str.isspace`` and ``str.isdecimal`` accept.
+# One term: an optional sign, coefficient, '*', variable and '^exponent', with
+# any whitespace around them.  As every part is optional the match never
+# fails; it stops where the term stops, and the parser reports what is missing
+# or wrong.  The empty groups ``c``, ``v`` and ``e`` mark where the
+# coefficient, the variable and the exponent start (or would start), which is
+# where errors are reported; ``e`` takes part exactly when a '^' follows the
+# variable.  ``\s`` and ``\d`` accept exactly the characters ``str.isspace``
+# and ``str.isdecimal`` accept.
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
     r"(?P<c>)(?P<coefficient>\d+\.?\d*|\.\d+)?\s*"

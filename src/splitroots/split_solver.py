@@ -68,7 +68,7 @@ OMEGA = OMEGA_ANSATZ.omega
 ONE_MINUS_OMEGA = 1.0 - OMEGA
 
 # A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
-# (in _finish).
+# (in _settle).
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
