@@ -4,16 +4,12 @@ The solvers write a candidate root as ``x + omega*y`` for a root of unity
 ``omega``, separate real and imaginary parts, and solve the resulting real
 systems; an independent simultaneous-iteration oracle cross-checks every
 result.
+
+``import splitroots`` loads the solver only (``poly_core`` and
+``split_solver``).  The oracle's and the parser's names, and the
+``oracle`` and ``parser`` submodules themselves, load on first use.
 """
 
-from .oracle import (
-    OracleConfig,
-    OracleResult,
-    find_roots,
-    max_pairing_distance,
-    pair_roots,
-)
-from .parser import ParseError, format_polynomial, parse_polynomial
 from .poly_core import (
     DepressedCubic,
     DepressedQuartic,
@@ -89,3 +85,33 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Loaded on first use by __getattr__: name -> the submodule that defines it.
+_LAZY = {
+    "oracle": "oracle",
+    "OracleConfig": "oracle",
+    "OracleResult": "oracle",
+    "find_roots": "oracle",
+    "max_pairing_distance": "oracle",
+    "pair_roots": "oracle",
+    "parser": "parser",
+    "ParseError": "parser",
+    "format_polynomial": "parser",
+    "parse_polynomial": "parser",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    submodule = import_module(f".{module}", __name__)
+    value = submodule if name == module else getattr(submodule, name)
+    globals()[name] = value  # later lookups find it without coming here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

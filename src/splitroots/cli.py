@@ -24,7 +24,8 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from .oracle import OracleConfig, find_roots, max_pairing_distance
+import splitroots
+
 from .parser import ParseError, format_polynomial, parse_polynomial_with_variable
 from .poly_core import (
     RealPolynomial,
@@ -285,6 +286,19 @@ def _add_reduction(reduction: _Reduction, coeffs, lines: list | None, diagnostic
     diagnostics[reduction.key] = values
 
 
+# The oracle loads on first use, through the package's lazy ``oracle``
+# attribute, so a run that never consults it does not load it.  Callers look
+# these two names up as module globals at call time; nothing here rebinds them.
+def find_roots(p: RealPolynomial):
+    """The oracle's :class:`~splitroots.oracle.OracleResult` for ``p``, default config."""
+    return splitroots.oracle.find_roots(p)
+
+
+def max_pairing_distance(computed, reference) -> float:
+    """:func:`splitroots.oracle.max_pairing_distance`."""
+    return splitroots.oracle.max_pairing_distance(computed, reference)
+
+
 def _oracle_not_finite(p: RealPolynomial, variable: str) -> int:
     # Text mode only: under --json the record holding the non-finite number
     # is refused by _emit_json.
@@ -346,7 +360,7 @@ def _oracle_one(text: str, args, batch: bool) -> int:
     if p is None:
         return _EXIT_PARSE
 
-    result = find_roots(p, OracleConfig())
+    result = find_roots(p)
     if not args.json and not all(map(cmath.isfinite, result.roots)):
         return _oracle_not_finite(p, variable)
     rs = RootSet(
@@ -462,6 +476,8 @@ def cmd_bench(args) -> int:
     import random
     import statistics
 
+    oracle_find_roots = splitroots.oracle.find_roots  # timed without the wrapper
+
     degrees = [args.degree] if args.degree else [2, 3, 4]
     rows = []
     for degree in degrees:
@@ -470,7 +486,7 @@ def cmd_bench(args) -> int:
             RealPolynomial(tuple(rng.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,))
             for _ in range(args.n)
         ]
-        for method, runner in (("split-closed-form", solve), ("oracle", find_roots)):
+        for method, runner in (("split-closed-form", solve), ("oracle", oracle_find_roots)):
             times = []
             max_residual = 0.0
             for p in polys:

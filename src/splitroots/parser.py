@@ -38,6 +38,7 @@ _TERM_RE = re.compile(
 
 # Exponents beyond this build nothing useful and only eat memory.
 _MAX_EXPONENT = 4096
+_MAX_EXPONENT_DIGITS = len(str(_MAX_EXPONENT))
 
 
 class ParseError(Exception):
@@ -102,9 +103,10 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
                     "multiple-variables",
                 )
             if exponent_digits is not None:
-                power = int(exponent_digits)
-                if power > _MAX_EXPONENT:
-                    raise ParseError(m.start("e"), f"exponent {power} is too large", "overflow")
+                digits = _ascii_digits(exponent_digits)
+                if len(digits) > _MAX_EXPONENT_DIGITS or int(digits) > _MAX_EXPONENT:
+                    raise ParseError(m.start("e"), f"exponent {digits} is too large", "overflow")
+                power = int(digits)
             elif caret is not None:
                 raise ParseError(
                     min(m.start("e"), last), "exponent must be a nonnegative integer", "bad-exponent"
@@ -122,7 +124,12 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
         else:
             power = 0
 
-        powers[power] = powers.get(power, 0.0) + (-coefficient if sign == "-" else coefficient)
+        total = powers.get(power, 0.0) + (-coefficient if sign == "-" else coefficient)
+        if not math.isfinite(total):
+            raise ParseError(
+                m.start("c"), f"the sum of the power-{power} terms overflows a float", "overflow"
+            )
+        powers[power] = total
         i = m.end()
 
     nonzero = [k for k, v in powers.items() if v != 0.0]
@@ -133,6 +140,17 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
         raise ParseError(0, "constant input has no variable term", "empty-input")
     coefficients = tuple([powers.get(k, 0.0) for k in range(degree + 1)])
     return RealPolynomial(coefficients), variable if variable is not None else "z"
+
+
+def _ascii_digits(digits: str) -> str:
+    """``str(int(digits))`` for any number of digits.
+
+    ``int()`` refuses a string of more than 4300 digits, leading zeros
+    included.  ``digits`` may hold the digits of any script (``\\d``).
+    """
+    if not digits.isascii():
+        digits = digits.translate({ord(d): str(int(d)) for d in set(digits)})
+    return digits.lstrip("0") or "0"
 
 
 def _format_coefficient(value: float) -> str:

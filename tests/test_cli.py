@@ -44,6 +44,18 @@ class TestExitCodes:
         assert lines[1] == "  2 & 3"
         assert lines[2] == "    ^"
 
+    def test_overflowing_term_sum_is_2(self, capsys):
+        nines = "9" * 308
+        text = f"{nines}z + {nines}z + z^2"
+        assert main(["solve", text]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        column = text.rindex(nines)
+        assert lines == [
+            f"error: the sum of the power-1 terms overflows a float (column {column})",
+            f"  {text}",
+            "  " + " " * column + "^",
+        ]
+
     def test_unsupported_degree_is_3(self, capsys):
         assert main(["solve", "z^5 + 1"]) == 3
         assert "degree 5" in capsys.readouterr().err
@@ -451,9 +463,30 @@ class TestStartup:
         proc = self._run(
             "-c",
             "import sys, splitroots.cli; print(*sorted({'dataclasses', 'inspect', "
-            "'statistics', 'decimal'} & set(sys.modules)))",
+            "'statistics', 'decimal', 'splitroots.oracle'} & set(sys.modules)))",
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+    def test_library_import_loads_the_solver_only(self):
+        proc = self._run(
+            "-c",
+            "import sys, splitroots; "
+            "splitroots.solve(splitroots.RealPolynomial((-1.0, 0.0, 1.0))); "
+            "print(*sorted({'re', 'splitroots.oracle', 'splitroots.parser'} & set(sys.modules)))",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
+
+    def test_solve_loads_the_oracle_only_for_oracle(self):
+        script = (
+            "import sys; from splitroots.cli import main; code = main(sys.argv[1:]); "
+            "print('splitroots.oracle' in sys.modules, code, file=sys.stderr)"
+        )
+        plain = self._run("-c", script, "solve", "--json", "z^2 - 1")
+        assert plain.stderr == "False 0\n"
+        assert json.loads(plain.stdout)["roots"]
+        crosscheck = self._run("-c", script, "solve", "--json", "--oracle", "z^2 - 1")
+        assert crosscheck.stderr == "True 0\n"
+        assert json.loads(crosscheck.stdout)["diagnostics"]["oracle_max_pairing_distance"] == 0.0
 
     def test_bench_loads_its_modules_when_run(self):
         proc = self._run("-m", "splitroots.cli", "bench", "--n", "1", "--json")
@@ -464,6 +497,60 @@ class TestStartup:
         proc = self._run("-m", "splitroots.cli", "solve", "z^2 - 0.00000000000000000001")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("polynomial: z^2 - 0.00000000000000000001\n")
+
+
+class TestLazyNames:
+    """The oracle's and the parser's names on the package load on first use.
+
+    Each check runs in a fresh interpreter that has not loaded either yet.
+    """
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            "assert splitroots.find_roots is splitroots.oracle.find_roots\n"
+            "assert splitroots.ParseError is splitroots.parser.ParseError\n"
+            "import splitroots.oracle as oracle, splitroots.parser as parser\n"
+            "for name in lazy:\n"
+            "    home = oracle if hasattr(oracle, name) else parser\n"
+            "    assert getattr(splitroots, name) is getattr(home, name), name\n"
+            "    assert vars(splitroots)[name] is getattr(home, name), name",
+            "names = dir(splitroots)\n"
+            "assert set(splitroots.__all__) <= set(names)\n"
+            "assert {'oracle', 'parser', 'poly_core', 'split_solver'} <= set(names)\n"
+            "assert not loaded()",
+            "namespace = {}\n"
+            "exec('from splitroots import *', namespace)\n"
+            "assert set(splitroots.__all__) <= set(namespace)\n"
+            "assert namespace['pair_roots'] is sys.modules['splitroots.oracle'].pair_roots\n"
+            "parser = sys.modules['splitroots.parser']\n"
+            "assert namespace['parse_polynomial'] is parser.parse_polynomial",
+            "assert splitroots.oracle is sys.modules['splitroots.oracle']\n"
+            "assert loaded() == {'splitroots.oracle'}\n"
+            "assert splitroots.parser is sys.modules['splitroots.parser']",
+            "try:\n"
+            "    splitroots.no_such_name\n"
+            "except AttributeError as err:\n"
+            "    assert str(err) == \"module 'splitroots' has no attribute 'no_such_name'\", err\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n"
+            "assert not hasattr(splitroots, 'solve_quintic')\n"
+            "assert not loaded()",
+        ],
+        ids=["identity", "dir", "star-import", "submodules", "unknown-name"],
+    )
+    def test_lazy_name(self, check):
+        prelude = (
+            "import sys, splitroots\n"
+            "def loaded():\n"
+            "    return {'splitroots.oracle', 'splitroots.parser'} & set(sys.modules)\n"
+            "assert not loaded(), loaded()\n"
+            "lazy = ['OracleConfig', 'OracleResult', 'find_roots', 'max_pairing_distance', "
+            "'pair_roots', 'ParseError', 'format_polynomial', 'parse_polynomial']\n"
+            "assert set(lazy) <= set(splitroots.__all__)\n"
+        )
+        proc = TestStartup._run("-c", prelude + check)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestClosedPipe:

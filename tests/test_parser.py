@@ -74,6 +74,14 @@ class TestParseBasics:
     def test_exponent_zero_is_constant_term(self):
         assert parse_polynomial("x^2 + 3x^0").coefficients == (3.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "zero, two", [("0", "2"), ("\u0660", "\u0662")], ids=["ascii", "arabic-indic"]
+    )
+    def test_exponent_zeros_beyond_the_int_digit_limit(self, zero, two):
+        # int() refuses a string of more than 4300 digits; leading zeros
+        # carry no value, however many there are.
+        assert parse_polynomial("z^" + zero * 4400 + two).coefficients == (0.0, 0.0, 1.0)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -103,6 +111,30 @@ class TestParseErrors:
             parse_polynomial(text)
         assert exc.value.kind == kind
         assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "digits, shown",
+        [
+            ("0" * 4400 + "4097", "4097"),
+            ("1" + "0" * 4400, "1" + "0" * 4400),
+            ("\u0660" * 10 + "\u0669" * 4400, "9" * 4400),
+        ],
+        ids=["zeros-then-4097", "4401-digits", "arabic-indic-4400-nines"],
+    )
+    def test_long_exponent_over_the_limit_is_overflow(self, digits, shown):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial("z^" + digits + " + 1")
+        assert (exc.value.kind, exc.value.position) == ("overflow", 2)
+        assert exc.value.message == f"exponent {shown} is too large"
+
+    def test_like_terms_overflowing_their_sum(self):
+        nines = "9" * 308  # each a finite float; two of them are not
+        text = f"{nines}z + {nines}z + z^2"
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert (exc.value.kind, exc.value.position) == ("overflow", text.rindex(nines))
+        # A sum that comes back into range is not an overflow.
+        assert parse_polynomial(f"{nines}z - {nines}z + z^2").coefficients == (0.0, 0.0, 1.0)
 
     def test_error_str_includes_column(self):
         with pytest.raises(ParseError) as exc:
