@@ -103,10 +103,16 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
                     "multiple-variables",
                 )
             if exponent_digits is not None:
-                digits = _ascii_digits(exponent_digits)
-                if len(digits) > _MAX_EXPONENT_DIGITS or int(digits) > _MAX_EXPONENT:
-                    raise ParseError(m.start("e"), f"exponent {digits} is too large", "overflow")
-                power = int(digits)
+                if len(exponent_digits) > _MAX_EXPONENT_DIGITS:
+                    # int() refuses more than 4300 digits, leading zeros included.
+                    exponent_digits = _ascii_digits(exponent_digits)
+                    if len(exponent_digits) > _MAX_EXPONENT_DIGITS:
+                        raise ParseError(
+                            m.start("e"), f"exponent {exponent_digits} is too large", "overflow"
+                        )
+                power = int(exponent_digits)
+                if power > _MAX_EXPONENT:
+                    raise ParseError(m.start("e"), f"exponent {power} is too large", "overflow")
             elif caret is not None:
                 raise ParseError(
                     min(m.start("e"), last), "exponent must be a nonnegative integer", "bad-exponent"
@@ -124,12 +130,15 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
         else:
             power = 0
 
-        total = powers.get(power, 0.0) + (-coefficient if sign == "-" else coefficient)
-        if not math.isfinite(total):
-            raise ParseError(
-                m.start("c"), f"the sum of the power-{power} terms overflows a float", "overflow"
-            )
-        powers[power] = total
+        # 0.0 - c, not -c: a "- 0" term gives 0.0, never -0.0.
+        value = 0.0 - coefficient if sign == "-" else coefficient
+        if power in powers:
+            value += powers[power]
+            if not math.isfinite(value):
+                raise ParseError(
+                    m.start("c"), f"the sum of the power-{power} terms overflows a float", "overflow"
+                )
+        powers[power] = value
         i = m.end()
 
     nonzero = [k for k, v in powers.items() if v != 0.0]
@@ -143,10 +152,9 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
 
 
 def _ascii_digits(digits: str) -> str:
-    """``str(int(digits))`` for any number of digits.
+    """``str(int(digits))`` without ``int()``'s limit on the number of digits.
 
-    ``int()`` refuses a string of more than 4300 digits, leading zeros
-    included.  ``digits`` may hold the digits of any script (``\\d``).
+    ``digits`` may hold the decimal digits of any script, as ``\\d`` does.
     """
     if not digits.isascii():
         digits = digits.translate({ord(d): str(int(d)) for d in set(digits)})
