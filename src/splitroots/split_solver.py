@@ -14,7 +14,9 @@ into a real two-equation system.  The systems used here:
   the real part to ``x^6 - b*x^3 - a^3/27 = 0``, a quadratic in ``x^3``.
 * quartic, ``omega = i``: the imaginary equation's nontrivial branch gives
   ``y^2 = x^2 + b/(4x) + a/2``; back-substitution yields a cubic resolvent in
-  ``t = x^2``.
+  ``t = x^2``, and one positive resolvent root splits the quartic into the
+  quadratic factors ``(w^2 - 2xw + beta0)(w^2 + 2xw + beta1)``, Newton-refined
+  against the quartic's coefficients.
 
 Degree 5 is where the approach stops paying off: the analogous elimination
 no longer reduces the degree, so those inputs are rejected.
@@ -68,14 +70,18 @@ OMEGA = OMEGA_ANSATZ.omega
 ONE_MINUS_OMEGA = 1.0 - OMEGA
 
 # A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
-# (in _settle).
+# (in _finish).
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
+# The quartic tries a further resolvent root while its best factors miss the
+# coefficients by more than this many units of roundoff (_EPS).
+_FACTOR_ULPS = 4.0
+_EPS = 2.0**-53
 
 # Branch tags that depend on a branch sign or a resolvent root index, built
-# once rather than formatted on every solve.  _RESOLVENT_TAGS[j] tags resolvent
-# root j's candidate roots in x+y+, x+y-, x-y+, x-y- order.
+# once rather than formatted on every solve.  _RESOLVENT_TAGS[j] tags the roots
+# of resolvent root j's two factors in x+y+, x+y-, x-y+, x-y- order.
 _OMEGA_TAGS = {sign: tuple(f"omega-branch-{k}:{sign}" for k in range(3)) for sign in "+-"}
 _RESOLVENT_TAGS = tuple(
     tuple(f"resolvent-root-{j}:{x}:{y}" for x in ("x+", "x-") for y in ("y+", "y-")) for j in range(3)
@@ -203,11 +209,9 @@ def quartic_resolvent_coefficients(a: float, b: float, c: float) -> tuple[float,
 def _polish_root(
     coeffs_rev: tuple[float, ...], z: complex, scale: float, residual: float | None = None
 ) -> tuple[complex, float]:
-    # Newton steps, each kept only if the residual drops.  ``residual``, when
-    # given, is |p(z)| already computed by the caller.  A kept step's
-    # evaluation supplies the value and derivative for the next.  The solver
-    # calls this only from _settle, for a root whose residual is over the
-    # trigger; the real-axis snap and the -0.0 normalization are _settle's.
+    # Newton steps, each kept only if the residual (|p(z)|, computed here when
+    # not given) drops; a kept step's evaluation supplies the next value and
+    # derivative.  _finish calls this for roots over the trigger.
     if residual is None:
         residual = horner_abs(coeffs_rev, z)
     if residual > _POLISH_TRIGGER * scale:
@@ -228,52 +232,28 @@ def _polish_root(
     return z, residual
 
 
-def _settle(
-    coeffs_rev: tuple[float, ...],
-    scale: float,
-    roots: Sequence[complex],
-    residuals: Sequence[float] | None,
-    out_residuals: list[float] | None,
-) -> list[complex]:
+def _finish(
+    coeffs_rev: tuple[float, ...], scale: float, roots: Sequence[complex], tags: Sequence[str]
+) -> RootSet:
     # Polish the roots whose residual is over the trigger (few are), snap
-    # near-real roots onto the real axis and normalize -0.0 components.
-    # ``residuals``, when given, are the roots' |p(z)| already computed by the
-    # caller.  The final residuals are appended to ``out_residuals``; a caller
-    # that reads only the roots passes None, and a snapped root is then not
-    # evaluated again.
-    if residuals is None:
-        residuals = [horner_abs(coeffs_rev, z) for z in roots]
+    # near-real roots onto the real axis and normalize -0.0 components; the
+    # roots are complex and the residuals float, so RootSet._trusted builds.
     trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
-    for z, residual in zip(roots, residuals):
+    out_residuals: list[float] = []
+    for z in roots:
+        residual = horner_abs(coeffs_rev, z)
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
         im = z.imag
         if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(z.real)):
             z = complex(z.real, 0.0)
-            if out_residuals is not None:
-                residual = horner_abs(coeffs_rev, z)
+            residual = horner_abs(coeffs_rev, z)
             im = 0.0
         if im == 0.0 or z.real == 0.0:
             z = complex(z.real + 0.0, im + 0.0)
         out_roots.append(z)
-        if out_residuals is not None:
-            out_residuals.append(residual)
-    return out_roots
-
-
-def _finish(
-    coeffs_rev: tuple[float, ...],
-    scale: float,
-    roots: Sequence[complex],
-    tags: Sequence[str],
-    residuals: Sequence[float] | None = None,
-) -> RootSet:
-    # The settled roots with their final residuals (see _settle).  The result
-    # is built by RootSet._trusted, not the validating public constructor:
-    # the roots here are complex and the residuals float already.
-    out_residuals: list[float] = []
-    out_roots = _settle(coeffs_rev, scale, roots, residuals, out_residuals)
+        out_residuals.append(residual)
     return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
 
 
@@ -292,6 +272,25 @@ def _real_cbrt(v: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _quadratic_roots(a: float, b: float) -> tuple[tuple[complex, complex], tuple[str, str]]:
+    # Roots of z**2 + a*z + b, the x + s (or x + i*y) branch first, and tags.
+    # A real pair's cancellation-prone root comes from b = r_plus * r_minus.
+    x = -0.5 * a
+    disc = x * x - b
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        if x >= 0.0:
+            r_plus = x + s
+            r_minus = b / r_plus if r_plus != 0.0 else x - s
+        else:
+            r_minus = x - s
+            r_plus = b / r_minus if r_minus != 0.0 else x + s
+        roots = complex(r_plus, 0.0), complex(r_minus, 0.0)
+        return roots, ("trivial-imaginary-branch:+", "trivial-imaginary-branch:-")
+    y = math.sqrt(b - x * x)
+    return (complex(x, y), complex(x, -y)), ("conjugate-branch:+", "conjugate-branch:-")
+
+
 def solve_quadratic(a: float, b: float) -> RootSet:
     """Roots of ``z**2 + a*z + b`` from the two branches of the split system.
 
@@ -299,24 +298,7 @@ def solve_quadratic(a: float, b: float) -> RootSet:
     real roots, imaginary part exactly zero) or ``x = -a/2`` (a conjugate
     pair with ``y = sqrt(b - a**2/4)``).
     """
-    x = -0.5 * a
-    disc = x * x - b
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        # Evaluate the cancellation-prone branch through the product of the
-        # roots (b = r_plus * r_minus) instead of x -+ s.
-        if x >= 0.0:
-            r_plus = x + s
-            r_minus = b / r_plus if r_plus != 0.0 else x - s
-        else:
-            r_minus = x - s
-            r_plus = b / r_minus if r_minus != 0.0 else x + s
-        roots = [complex(r_plus, 0.0), complex(r_minus, 0.0)]
-        tags = ("trivial-imaginary-branch:+", "trivial-imaginary-branch:-")
-    else:
-        y = math.sqrt(b - x * x)
-        roots = [complex(x, y), complex(x, -y)]
-        tags = ("conjugate-branch:+", "conjugate-branch:-")
+    roots, tags = _quadratic_roots(a, b)
     scale = max(1.0, abs(a), abs(b))
     return _finish((1.0, a, b), scale, roots, tags)
 
@@ -366,40 +348,78 @@ def solve_depressed_cubic(dc: DepressedCubic) -> RootSet:
 def _refine_resolvent_root(r2: float, r1: float, r0: float, t: float) -> float:
     """Newton-refine a real root of ``t**3 + r2*t**2 + r1*t + r0``.
 
-    The resolvent's smallest root is obtained through a depression shift that
-    cancels catastrophically when the root is tiny; a few Newton steps against
-    the resolvent itself restore full relative accuracy (and can pull a root
-    that cancellation pushed slightly negative back across zero).
+    The depression shift behind the resolvent's roots cancels when a root is
+    tiny; Newton steps on the cubic itself restore its relative accuracy.  A
+    step is kept only if the cubic's value falls.
     """
-    # The value at a kept step is the one the next step starts from.
     v = ((t + r2) * t + r1) * t + r0
-    best_t, best_r = t, abs(v)
     for _ in range(6):
         d = (3.0 * t + 2.0 * r2) * t + r1
-        if d == 0.0:
+        new_t = t - v / d if d != 0.0 else t
+        new_v = ((new_t + r2) * new_t + r1) * new_t + r0
+        if not abs(new_v) < abs(v) and abs(new_t - t) > 1e-8 * abs(t):
+            # A long step overshot from next to a near-double root, where the
+            # slope nearly vanishes: go to the local quadratic's nearer root.
+            disc = d * d - 4.0 * (3.0 * t + r2) * v
+            if disc > 0.0:
+                new_t = t - 2.0 * v / (d + math.copysign(math.sqrt(disc), d))
+                new_v = ((new_t + r2) * new_t + r1) * new_t + r0
+        if not abs(new_v) < abs(v):
             break
-        t = t - v / d
-        v = ((t + r2) * t + r1) * t + r0
-        r = abs(v)
-        if r < best_r:
-            best_t, best_r = t, r
-        else:
+        t, v = new_t, new_v
+    return t
+
+
+def _quartic_factors(a: float, b: float, c: float, t: float) -> tuple[float, float, float, float]:
+    """``(error, alpha, beta0, beta1)`` factoring ``w**4 + a*w**2 + b*w + c``
+    as ``(w**2 - alpha*w + beta0) * (w**2 + alpha*w + beta1)``.
+
+    A positive resolvent root ``t`` gives ``alpha = 2x`` and ``beta = 2t + a/2
+    +- b/(4x)``, the smaller beta through ``beta0*beta1 = c``.  Newton steps on
+    the coefficient equations refine them, each kept only if ``error`` falls:
+    the equations' summed errors, each relative to the magnitude of its terms.
+    """
+    alpha = 2.0 * math.sqrt(t)
+    q = b / (2.0 * alpha)
+    beta0, beta1 = 2.0 * t + 0.5 * a + q, 2.0 * t + 0.5 * a - q
+    if abs(beta0) >= abs(beta1):
+        beta1 = c / beta0 if beta0 != 0.0 else beta1
+    else:
+        beta0 = c / beta1
+    m1 = alpha * alpha + abs(beta0) + abs(beta1) + abs(a) or 1.0
+    m2 = alpha * (abs(beta0) + abs(beta1)) + abs(b)
+    m3 = abs(beta0 * beta1) + abs(c) or 1.0
+    best = None
+    for _ in range(5):
+        e1 = beta0 + beta1 - alpha * alpha - a
+        e2 = alpha * (beta0 - beta1) - b
+        e3 = beta0 * beta1 - c
+        error = abs(e1) / m1 + abs(e2) / m2 + abs(e3) / m3
+        if best is not None and not error < best[0]:
             break
-    return best_t
+        best = (error, alpha, beta0, beta1)
+        d, s = beta0 - beta1, beta0 + beta1
+        det = 2.0 * alpha * alpha * s + d * d
+        if error <= _EPS or det == 0.0:
+            break
+        # Cramer's rule on J * step = -e, J = [[-2 alpha, 1, 1], [d, alpha,
+        # -alpha], [0, beta1, beta0]] with d = beta0 - beta1, det J = -det.
+        alpha_e3 = alpha * e3
+        beta0 += (d * (e3 - beta0 * e1) - 2.0 * alpha * (beta0 * e2 + alpha_e3)) / det
+        beta1 += (d * (beta1 * e1 - e3) + 2.0 * alpha * (beta1 * e2 - alpha_e3)) / det
+        alpha += (alpha * s * e1 - d * e2 - 2.0 * alpha_e3) / det
+    return best
 
 
 def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
-    """Roots of ``w**4 + a*w**2 + b*w + c`` via the split's resolvent cubic.
+    """Roots of ``w**4 + a*w**2 + b*w + c`` as two quadratic factors.
 
-    The nontrivial branch of the imaginary equation gives ``y**2 = x**2 +
-    b/(4x) + a/2``; substituting back makes ``t = x**2`` a root of the
-    resolvent cubic.  Each real positive resolvent root yields a full
-    candidate set of four roots (both signs of ``x``, both signs of ``y``);
-    the set with the smallest total residual is kept.  The largest root's
-    set is not kept on sight: from a near-double root it can meet the
-    residual bound here and still miss it against the undepressed quartic.
-    A negative ``y**2`` continues ``y`` to the imaginary axis, producing the
-    pair of real roots ``x -+ sqrt(-y**2)``.
+    The split's ``y**2 = x**2 + b/(4x) + a/2`` makes ``t = x**2`` a root of
+    the resolvent cubic, and each positive ``t`` splits the quartic into
+    factors with roots ``x +- i*y`` and ``-x +- i*y'``.  The largest
+    resolvent root is positive (the resolvent is ``-b**2/64`` at 0); the next
+    positive roots are tried only while the factors' error stays above a few
+    ulps, and the factors with the smallest error are kept.
     """
     a, b, c = dq.a, dq.b, dq.c
     scale = max(1.0, abs(a), abs(b), abs(c))
@@ -418,49 +438,28 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
     # Depress the resolvent by t = u - r2/3 (the arithmetic of depress_cubic)
-    # and settle its omega roots there, as solve_depressed_cubic's finish
-    # would; only the roots are needed, not their residuals.
+    # and take its omega roots there.  The real ones, largest first, are those
+    # whose imaginary part is rounding next to the largest root.
     s = r2 / 3.0
     s2 = s * s
     ra = r1 - 3.0 * s2
     rb = r0 - s * (ra + s2)
-    r_scale = max(1.0, abs(ra), abs(rb))
-    u_roots, _ = _omega_cubic(ra, rb)
-    t_roots = [u - s for u in _settle((1.0, 0.0, ra, rb), r_scale, u_roots, None, None)]
-
-    best: tuple[list[complex], tuple[str, ...], list[float] | None] | None = None
-    best_total = math.inf
-    for j, t in enumerate(t_roots):
-        if t.imag != 0.0 and abs(t.imag) > 1e-7 * max(1.0, abs(t.real)):
-            continue
-        t_real = _refine_resolvent_root(r2, r1, r0, t.real)
-        if t_real <= 0.0:
-            continue
-        candidate_roots: list[complex] = []
-        for x_sign in (1.0, -1.0):
-            x = x_sign * math.sqrt(t_real)
-            y2 = x * x + b / (4.0 * x) + 0.5 * a
-            y = cmath.sqrt(complex(y2, 0.0))
-            for y_sign in (1.0, -1.0):
-                candidate_roots.append(complex(x, 0.0) + y_sign * 1j * y)
-        candidate_residuals = [horner_abs(coeffs_rev, z) for z in candidate_roots]
-        total = sum(candidate_residuals)
-        if total < best_total:
-            best_total = total
-            best = (candidate_roots, _RESOLVENT_TAGS[j], candidate_residuals)
-
-    if best is None:
-        # No usable resolvent root survived the filters; fall back to the
-        # numerically best one treated as a complex square.
-        x = cmath.sqrt(max(t_roots, key=abs))
-        y2 = x * x + b / (4.0 * x) + 0.5 * a
-        y = cmath.sqrt(y2)
-        best = (
-            [x + 1j * y, x - 1j * y, -x + 1j * y, -x - 1j * y],
-            ("resolvent-fallback",) * 4,
-            None,
-        )
-    return _finish(coeffs_rev, scale, *best)
+    t_roots = [u - s for u in _omega_cubic(ra, rb)[0]]
+    cut = 1e-7 * max(1.0, abs(t_roots[0]), abs(t_roots[1]), abs(t_roots[2]))
+    candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
+    # The factors stay nan only when the resolvent's roots overflow.
+    best, best_j = (math.inf, math.nan, math.nan, math.nan), 0
+    for t, j in candidates:
+        t = _refine_resolvent_root(r2, r1, r0, t)
+        if t > 0.0:
+            factors = _quartic_factors(a, b, c, t)
+            if factors[0] < best[0]:
+                best, best_j = factors, j
+                if best[0] <= _FACTOR_ULPS * _EPS:
+                    break
+    _, alpha, beta0, beta1 = best
+    roots = [*_quadratic_roots(-alpha, beta0)[0], *_quadratic_roots(alpha, beta1)[0]]
+    return _finish(coeffs_rev, scale, roots, _RESOLVENT_TAGS[best_j])
 
 
 def solve(p: RealPolynomial) -> RootSet:

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitroots import split_solver
@@ -163,14 +163,53 @@ class TestDepressedQuartic:
 
     @given(moderate, moderate, moderate)
     @settings(max_examples=300)
+    # (z^2 + 2)^2 + 1e-8 z: two near-double pairs at +-1.414i, whose
+    # resolvent has a near-double root next to 0.
+    @example(a=4.0, b=1e-8, c=4.0)
     def test_residuals(self, a, b, c):
         p = RealPolynomial((c, b, a, 0.0, 1.0))
         for z in solve_depressed_quartic(DepressedQuartic(a=a, b=b, c=c)).roots:
             assert abs(evaluate(p, z)) <= _residual_bound(p, z)
 
+    def test_near_double_pairs_meet_the_bound(self):
+        # w^4 + 2u w^2 + eps w + u^2 = (w^2 + u)^2 + eps w: two near-double
+        # roots (pairs for u > 0), and a resolvent with a near-double root
+        # next to 0.  The candidate-set solver missed the bound on 14 of these
+        # 500 quartics.
+        rng = random.Random(11)
+        over = 0
+        for _ in range(500):
+            u = rng.uniform(-5.0, 5.0)
+            eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -4.0)
+            p = RealPolynomial((u * u, eps, 2.0 * u, 0.0, 1.0))
+            rs = solve_depressed_quartic(DepressedQuartic(a=2.0 * u, b=eps, c=u * u))
+            over += any(abs(evaluate(p, z)) > _residual_bound(p, z) for z in rs.roots)
+        assert over <= 0
+
+    def test_further_resolvent_roots_only_when_the_factors_miss(self, monkeypatch):
+        # The largest resolvent root's factors are kept when their error is
+        # within a few ulps; otherwise the next positive root is tried.
+        calls = []
+        factors = split_solver._quartic_factors
+
+        def recording(*args):
+            result = factors(*args)
+            calls.append(result[0] / split_solver._EPS)
+            return result
+
+        monkeypatch.setattr(split_solver, "_quartic_factors", recording)
+        rs = solve_depressed_quartic(DepressedQuartic(a=-1.0, b=-6.0, c=6.0))
+        assert len(calls) == 1 and calls[0] <= split_solver._FACTOR_ULPS
+        assert rs.branch_tags[0] == "resolvent-root-0:x+:y+"
+        calls.clear()
+        dq = DepressedQuartic(a=-96151977.10522492, b=-31237347.483565696, c=-2537055.9408217617)
+        rs = solve_depressed_quartic(dq)
+        assert len(calls) == 2
+        assert calls[0] > 1e6 and calls[1] <= split_solver._FACTOR_ULPS
+        assert rs.branch_tags[0] == "resolvent-root-1:x+:y+"
+
     def test_residuals_are_exact(self):
-        # Residuals of the kept candidate set are carried into the finish
-        # rather than recomputed; they must still be |p(z)| to the bit.
+        # The finish's residuals must be |p(z)| to the bit.
         rng = random.Random(37)
         for k in range(400):
             if k % 2:
@@ -550,11 +589,10 @@ class TestHornerPasses:
             assert horner_abs(coeffs_rev, z) == abs(horner_with_derivative(coeffs_rev, z)[0])
 
     def test_quartic_without_newton_steps_evaluates_each_point_once(self, monkeypatch):
-        # 3 resolvent roots + 4 candidate residuals + 4 outer residuals.  The
-        # kept candidate set's four residuals used to be evaluated again by the
-        # inner finish (16 passes), and a resolvent root snapped onto the real
-        # axis used to be evaluated again although its residual is not read
-        # (12 passes).
+        # 4 inner residuals + 4 outer residuals: the resolvent roots and the
+        # quadratic factors are never scored with the quartic.  Settling the
+        # three resolvent roots and scoring a four-root candidate set per
+        # positive resolvent root used to take 11 passes.
         passes = {"full": 0, "value": 0}
 
         def counting(name, fn):
@@ -570,7 +608,7 @@ class TestHornerPasses:
         monkeypatch.setattr(split_solver, "horner_abs", counting("value", horner_abs))
         rs = solve(RealPolynomial((1.0, -3.0, 0.5, 2.0, 1.0)))
         assert rs.branch_tags[0].startswith("resolvent-root")
-        assert passes == {"full": 0, "value": 11}
+        assert passes == {"full": 0, "value": 8}
 
     @pytest.mark.parametrize("scale, rejected", [(2.0, 0), (0.0, 1)])
     def test_polish_root_makes_one_full_pass_per_candidate(self, monkeypatch, scale, rejected):
@@ -703,14 +741,6 @@ def _fuzz_calls(seed: int, n: int):
     return calls
 
 
-def _reference_settle(coeffs_rev, scale, roots, residuals, out_residuals):
-    # The resolvent's settle as the reference finish does it, residuals and all.
-    rs = _reference_finish(coeffs_rev, scale, roots, [""] * len(roots), residuals)
-    if out_residuals is not None:
-        out_residuals.extend(rs.residuals)
-    return list(rs.roots)
-
-
 def _outcome(fn, args) -> str:
     try:
         return repr(fn(*args))
@@ -723,8 +753,7 @@ FUZZ_CALLS = _fuzz_calls(20261018, 4000)
 
 class TestFinishBitIdentity:
     def test_solvers_match_the_reference_finish(self, monkeypatch):
-        # The reference sees the same calls through split_solver's globals:
-        # _finish, and _settle for the quartic's resolvent roots.
+        # The reference sees the same calls through split_solver's globals.
         polish_calls = [0]
         polish = split_solver._polish_root
 
@@ -735,7 +764,6 @@ class TestFinishBitIdentity:
         monkeypatch.setattr(split_solver, "_polish_root", counting)
         got = [_outcome(fn, args) for fn, args in FUZZ_CALLS]
         monkeypatch.setattr(split_solver, "_finish", _reference_finish)
-        monkeypatch.setattr(split_solver, "_settle", _reference_settle)
         want = [_outcome(fn, args) for fn, args in FUZZ_CALLS]
         assert got == want
         # The corpus reaches the Newton path, non-finite results and the
@@ -755,39 +783,38 @@ class TestFinishBitIdentity:
                 )
 
     @pytest.mark.parametrize(
-        "coeffs_rev, scale, roots, residuals",
+        "coeffs_rev, scale, roots",
         [
             # residual over the trigger: Newton steps from 1e-3 off sqrt(2)
-            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)], None),
+            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)]),
             # snap-eligible roots, with and without a Newton step first
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)], None),
-            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)]),
             # -0.0 real part, -0.0 imaginary part, both, and a -0.0 snap result
-            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)], None),
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)], None),
-            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)], None),
+            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)]),
+            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)]),
             # non-finite values: a nan residual, an overflowing one, nan roots
-            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)], None),
-            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)], None),
-            # residuals passed in by the caller, a nan one among them
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 0.0), complex(-1.0, 1e-9)], [0.0, 2e-9]),
-            ((1.0, 0.0, -2.0), 2.0, [complex(1.5, 0.0), complex(-0.0, 1.0)], [math.nan, 3.0]),
-            ((1.0, 0.0, -2.0, 1.0), 2.0, [1 + 0j, complex(1.7, 1e-9), complex(-1.6, -0.0)], [0.0, 1.0, 0.5]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)]),
+            # exact roots next to a snap-eligible one and a -0.0 real part
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 0.0), complex(-1.0, 1e-9)]),
+            ((1.0, 0.0, -2.0), 2.0, [complex(1.5, 0.0), complex(-0.0, 1.0)]),
+            ((1.0, 0.0, -2.0, 1.0), 2.0, [1 + 0j, complex(1.7, 1e-9), complex(-1.6, -0.0)]),
         ],
     )
-    def test_hand_cases(self, coeffs_rev, scale, roots, residuals):
+    def test_hand_cases(self, coeffs_rev, scale, roots):
         tags = [f"t{k}" for k in range(len(roots))]
-        got = split_solver._finish(coeffs_rev, scale, roots, tags, residuals)
-        want = _reference_finish(coeffs_rev, scale, roots, tags, residuals)
+        got = split_solver._finish(coeffs_rev, scale, roots, tags)
+        want = _reference_finish(coeffs_rev, scale, roots, tags)
         assert repr(got) == repr(want)
 
 
 class TestFinishCommonPath:
     # Coefficients, lowest power first, and the value passes the solve makes
     # when no root needs a Newton step or the real-axis snap: a cubic's
-    # depressed and source finish take 3 each; a quartic's resolvent takes 3,
-    # its one positive resolvent root's candidate set 4 and the source finish 4.
-    CASES = [((-5.0, -9.0, -9.0, 1.0), 6), ((8.0, -4.0, 6.0, 1.0, 1.0), 11)]
+    # depressed and source finish take 3 each, a quartic's 4 each.
+    CASES = [((-5.0, -9.0, -9.0, 1.0), 6), ((8.0, -4.0, 6.0, 1.0, 1.0), 8)]
 
     @pytest.mark.parametrize("coeffs, value_passes", CASES)
     def test_no_polish_call_and_no_public_rootset(self, monkeypatch, coeffs, value_passes):
@@ -860,13 +887,19 @@ class TestBranchTagOrder:
                 (DepressedQuartic(0.0, 0.0, 9.0),),
                 ("biquadratic-0:+", "biquadratic-0:-", "biquadratic-1:+", "biquadratic-1:-"),
             ),
+            # The largest resolvent root's factors (index 0 and 2), and the
+            # next root's once the largest one's factors miss by 1e8 ulps.
             *(
                 (
                     solve_depressed_quartic,
                     (DepressedQuartic(*abc),),
                     tuple(f"resolvent-root-{j}:{xy}" for xy in ("x+:y+", "x+:y-", "x-:y+", "x-:y-")),
                 )
-                for j, abc in enumerate(((-1.0, -6.0, 6.0), (-6.0, -4.0, 0.0), (-5.0, 9.0, -7.0)))
+                for j, abc in (
+                    (0, (-1.0, -6.0, 6.0)),
+                    (1, (-96151977.10522492, -31237347.483565696, -2537055.9408217617)),
+                    (2, (-5.0, 9.0, -7.0)),
+                )
             ),
         ],
     )
