@@ -419,7 +419,8 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     factors with roots ``x +- i*y`` and ``-x +- i*y'``.  The largest
     resolvent root is positive (the resolvent is ``-b**2/64`` at 0); the next
     positive roots are tried only while the factors' error stays above a few
-    ulps, and the factors with the smallest error are kept.
+    ulps or when two resolvent roots are close, and the factors with the
+    smallest error are kept.
     """
     a, b, c = dq.a, dq.b, dq.c
     scale = max(1.0, abs(a), abs(b), abs(c))
@@ -444,9 +445,14 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     s2 = s * s
     ra = r1 - 3.0 * s2
     rb = r0 - s * (ra + s2)
-    t_roots = [u - s for u in _omega_cubic(ra, rb)[0]]
-    cut = 1e-7 * max(1.0, abs(t_roots[0]), abs(t_roots[1]), abs(t_roots[2]))
+    t0, t1, t2 = t_roots = [u - s for u in _omega_cubic(ra, rb)[0]]
+    cut = 1e-7 * max(1.0, abs(t0), abs(t1), abs(t2))
     candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
+    # Two close resolvent roots mean a near-double pair of quartic roots, and
+    # then a small error no longer singles out the best factors: try them all.
+    tolerance = _FACTOR_ULPS * _EPS
+    if len(candidates) > 1 and min(abs(t0 - t1), abs(t0 - t2), abs(t1 - t2)) <= 1e3 * cut:
+        tolerance = 0.0
     # The factors stay nan only when the resolvent's roots overflow.
     best, best_j = (math.inf, math.nan, math.nan, math.nan), 0
     for t, j in candidates:
@@ -455,7 +461,7 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
             factors = _quartic_factors(a, b, c, t)
             if factors[0] < best[0]:
                 best, best_j = factors, j
-                if best[0] <= _FACTOR_ULPS * _EPS:
+                if best[0] <= tolerance:
                     break
     _, alpha, beta0, beta1 = best
     roots = [*_quadratic_roots(-alpha, beta0)[0], *_quadratic_roots(alpha, beta1)[0]]

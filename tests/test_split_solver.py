@@ -186,27 +186,33 @@ class TestDepressedQuartic:
             over += any(abs(evaluate(p, z)) > _residual_bound(p, z) for z in rs.roots)
         assert over <= 0
 
-    def test_further_resolvent_roots_only_when_the_factors_miss(self, monkeypatch):
-        # The largest resolvent root's factors are kept when their error is
-        # within a few ulps; otherwise the next positive root is tried.
+    @pytest.mark.parametrize(
+        "abc, errors, tag",
+        [
+            # the largest root's factors within a few ulps: kept
+            ((-1.0, -6.0, 6.0), [0], "resolvent-root-0"),
+            # they miss by about 7.8e8 ulps: the next root's are taken
+            ((-93007668.95192192, 9020291.434812276, -218706.75076684702), [1, 0], "resolvent-root-1"),
+            # three roots near -3789: close resolvent roots, so every
+            # positive root is tried and the smallest error is kept
+            ((-86148712.80257231, -435247513473.97205, -618466719303222.8), [0, 0, 0], "resolvent-root-1"),
+        ],
+    )
+    def test_further_resolvent_roots_only_when_needed(self, monkeypatch, abc, errors, tag):
+        # errors: per factorization tried, 1 when its error is over the
+        # tolerance and 0 when within it.
         calls = []
         factors = split_solver._quartic_factors
 
         def recording(*args):
             result = factors(*args)
-            calls.append(result[0] / split_solver._EPS)
+            calls.append(result[0])
             return result
 
         monkeypatch.setattr(split_solver, "_quartic_factors", recording)
-        rs = solve_depressed_quartic(DepressedQuartic(a=-1.0, b=-6.0, c=6.0))
-        assert len(calls) == 1 and calls[0] <= split_solver._FACTOR_ULPS
-        assert rs.branch_tags[0] == "resolvent-root-0:x+:y+"
-        calls.clear()
-        dq = DepressedQuartic(a=-96151977.10522492, b=-31237347.483565696, c=-2537055.9408217617)
-        rs = solve_depressed_quartic(dq)
-        assert len(calls) == 2
-        assert calls[0] > 1e6 and calls[1] <= split_solver._FACTOR_ULPS
-        assert rs.branch_tags[0] == "resolvent-root-1:x+:y+"
+        rs = solve_depressed_quartic(DepressedQuartic(*abc))
+        assert [int(e > split_solver._FACTOR_ULPS * split_solver._EPS) for e in calls] == errors
+        assert rs.branch_tags[0] == tag + ":x+:y+"
 
     def test_residuals_are_exact(self):
         # The finish's residuals must be |p(z)| to the bit.
@@ -590,9 +596,7 @@ class TestHornerPasses:
 
     def test_quartic_without_newton_steps_evaluates_each_point_once(self, monkeypatch):
         # 4 inner residuals + 4 outer residuals: the resolvent roots and the
-        # quadratic factors are never scored with the quartic.  Settling the
-        # three resolvent roots and scoring a four-root candidate set per
-        # positive resolvent root used to take 11 passes.
+        # quadratic factors are never scored with the quartic.
         passes = {"full": 0, "value": 0}
 
         def counting(name, fn):
@@ -888,7 +892,7 @@ class TestBranchTagOrder:
                 ("biquadratic-0:+", "biquadratic-0:-", "biquadratic-1:+", "biquadratic-1:-"),
             ),
             # The largest resolvent root's factors (index 0 and 2), and the
-            # next root's once the largest one's factors miss by 1e8 ulps.
+            # next root's once the largest one's factors miss by 7.8e8 ulps.
             *(
                 (
                     solve_depressed_quartic,
@@ -897,7 +901,7 @@ class TestBranchTagOrder:
                 )
                 for j, abc in (
                     (0, (-1.0, -6.0, 6.0)),
-                    (1, (-96151977.10522492, -31237347.483565696, -2537055.9408217617)),
+                    (1, (-93007668.95192192, 9020291.434812276, -218706.75076684702)),
                     (2, (-5.0, 9.0, -7.0)),
                 )
             ),
