@@ -233,16 +233,23 @@ def _polish_root(
 
 
 def _finish(
-    coeffs_rev: tuple[float, ...], scale: float, roots: Sequence[complex], tags: Sequence[str]
+    coeffs_rev: tuple[float, ...],
+    scale: float,
+    roots: Sequence[complex],
+    tags: Sequence[str],
+    residuals: Sequence[float] | None = None,
 ) -> RootSet:
     # Polish the roots whose residual is over the trigger (few are), snap
-    # near-real roots onto the real axis and normalize -0.0 components; the
-    # roots are complex and the residuals float, so RootSet._trusted builds.
+    # near-real roots onto the real axis and normalize -0.0 components.
+    # ``residuals``, when given, are the roots' |p(z)|; otherwise each is
+    # computed as the loop reaches it.  The roots are complex and the
+    # residuals float, so RootSet._trusted builds the result.
+    given = None if residuals is None else iter(residuals)
     trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
     out_residuals: list[float] = []
     for z in roots:
-        residual = horner_abs(coeffs_rev, z)
+        residual = horner_abs(coeffs_rev, z) if given is None else next(given)
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
         im = z.imag

@@ -787,30 +787,30 @@ class TestFinishBitIdentity:
                 )
 
     @pytest.mark.parametrize(
-        "coeffs_rev, scale, roots",
+        "coeffs_rev, scale, roots, residuals",
         [
             # residual over the trigger: Newton steps from 1e-3 off sqrt(2)
-            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)]),
+            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)], None),
             # snap-eligible roots, with and without a Newton step first
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)]),
-            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)], None),
             # -0.0 real part, -0.0 imaginary part, both, and a -0.0 snap result
-            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)]),
-            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)]),
+            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)], None),
+            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)], None),
             # non-finite values: a nan residual, an overflowing one, nan roots
-            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)]),
-            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)]),
-            # exact roots next to a snap-eligible one and a -0.0 real part
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 0.0), complex(-1.0, 1e-9)]),
-            ((1.0, 0.0, -2.0), 2.0, [complex(1.5, 0.0), complex(-0.0, 1.0)]),
-            ((1.0, 0.0, -2.0, 1.0), 2.0, [1 + 0j, complex(1.7, 1e-9), complex(-1.6, -0.0)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)], None),
+            # residuals passed in by the caller, a nan one among them
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 0.0), complex(-1.0, 1e-9)], [0.0, 2e-9]),
+            ((1.0, 0.0, -2.0), 2.0, [complex(1.5, 0.0), complex(-0.0, 1.0)], [math.nan, 3.0]),
+            ((1.0, 0.0, -2.0, 1.0), 2.0, [1 + 0j, complex(1.7, 1e-9), complex(-1.6, -0.0)], [0.0, 1.0, 0.5]),
         ],
     )
-    def test_hand_cases(self, coeffs_rev, scale, roots):
+    def test_hand_cases(self, coeffs_rev, scale, roots, residuals):
         tags = [f"t{k}" for k in range(len(roots))]
-        got = split_solver._finish(coeffs_rev, scale, roots, tags)
-        want = _reference_finish(coeffs_rev, scale, roots, tags)
+        got = split_solver._finish(coeffs_rev, scale, roots, tags, residuals)
+        want = _reference_finish(coeffs_rev, scale, roots, tags, residuals)
         assert repr(got) == repr(want)
 
 
