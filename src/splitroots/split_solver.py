@@ -78,6 +78,9 @@ _POLISH_TRIGGER = 1e-12
 # coefficients by more than this many units of roundoff (_EPS).
 _FACTOR_ULPS = 4.0
 _EPS = 2.0**-53
+# A quartic whose depression shift exceeds its smallest root this many times
+# over has lost that root's digits to the shift; solve() then deflates.
+_DEFLATE_RATIO = 1e3
 
 # Branch tags that depend on a branch sign or a resolvent root index, built
 # once rather than formatted on every solve.  _RESOLVENT_TAGS[j] tags the roots
@@ -393,7 +396,7 @@ def _quartic_factors(a: float, b: float, c: float, t: float) -> tuple[float, flo
         beta1 = c / beta0 if beta0 != 0.0 else beta1
     else:
         beta0 = c / beta1
-    m1 = alpha * alpha + abs(beta0) + abs(beta1) + abs(a) or 1.0
+    m1 = alpha * alpha + abs(beta0) + abs(beta1) + abs(a)
     m2 = alpha * (abs(beta0) + abs(beta1)) + abs(b)
     m3 = abs(beta0 * beta1) + abs(c) or 1.0
     best = None
@@ -426,8 +429,7 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     factors with roots ``x +- i*y`` and ``-x +- i*y'``.  The largest
     resolvent root is positive (the resolvent is ``-b**2/64`` at 0); the next
     positive roots are tried only while the factors' error stays above a few
-    ulps or when two resolvent roots are close, and the factors with the
-    smallest error are kept.
+    ulps, and the factors with the smallest error are kept.
     """
     a, b, c = dq.a, dq.b, dq.c
     scale = max(1.0, abs(a), abs(b), abs(c))
@@ -452,14 +454,9 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     s2 = s * s
     ra = r1 - 3.0 * s2
     rb = r0 - s * (ra + s2)
-    t0, t1, t2 = t_roots = [u - s for u in _omega_cubic(ra, rb)[0]]
-    cut = 1e-7 * max(1.0, abs(t0), abs(t1), abs(t2))
+    t_roots = [u - s for u in _omega_cubic(ra, rb)[0]]
+    cut = 1e-7 * max(1.0, *map(abs, t_roots))
     candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
-    # Two close resolvent roots mean a near-double pair of quartic roots, and
-    # then a small error no longer singles out the best factors: try them all.
-    tolerance = _FACTOR_ULPS * _EPS
-    if len(candidates) > 1 and min(abs(t0 - t1), abs(t0 - t2), abs(t1 - t2)) <= 1e3 * cut:
-        tolerance = 0.0
     # The factors stay nan only when the resolvent's roots overflow.
     best, best_j = (math.inf, math.nan, math.nan, math.nan), 0
     for t, j in candidates:
@@ -468,11 +465,58 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
             factors = _quartic_factors(a, b, c, t)
             if factors[0] < best[0]:
                 best, best_j = factors, j
-                if best[0] <= tolerance:
+                if best[0] <= _FACTOR_ULPS * _EPS:
                     break
     _, alpha, beta0, beta1 = best
     roots = [*_quadratic_roots(-alpha, beta0)[0], *_quadratic_roots(alpha, beta1)[0]]
     return _finish(coeffs_rev, scale, roots, _RESOLVENT_TAGS[best_j])
+
+
+def _deflate(
+    c: Sequence[float], roots: Sequence[complex], tags: Sequence[str]
+) -> tuple[Sequence[complex], Sequence[str]]:
+    """Keep the largest of ``roots`` (and its conjugate) and solve the rest anew.
+
+    ``c`` is a monic cubic or quartic, constant first, and ``roots`` are its
+    roots from a depression whose shift swamped the smallest of them.  The
+    largest root is divided out constant term first, which damps its error
+    (backward deflation), and the quotient is solved in closed form, deflated
+    again while its own shift swamps its smallest root.  Each root keeps the
+    tag of the branch that produced it.  The roots are returned as they came
+    when the largest is a cubic's complex pair, when its square is not a
+    normal float, or when a deflated root is not finite.
+    """
+    k = max(range(len(roots)), key=lambda j: abs(roots[j]))
+    r = roots[k]
+    if not 1e-150 < abs(r) < 1e150:
+        return roots, tags
+    if abs(r.imag) <= _IMAG_SNAP * abs(r.real):
+        x = r.real
+        kept, kept_tags = [complex(x, 0.0)], (tags[k],)
+        q = [-c[0] / x]
+        for ck in c[1:-2]:
+            q.append((q[-1] - ck) / x)
+    elif len(c) == 5:
+        m = min((j for j in range(4) if j != k), key=lambda j: abs(roots[j] - r.conjugate()))
+        kept, kept_tags = [r, r.conjugate()], (tags[k], tags[m])
+        u, v = -2.0 * r.real, r.real * r.real + r.imag * r.imag
+        q = [c[0] / v]
+        q.append((c[1] - u * q[0]) / v)
+    else:
+        return roots, tags
+    if len(q) == 2:
+        rest, rest_tags = _quadratic_roots(q[1], q[0])
+    else:
+        s = q[2] / 3.0
+        s2 = s * s
+        a = q[1] - 3.0 * s2
+        rest, rest_tags = _omega_cubic(a, q[0] - s * (a + s2))
+        rest = [w - s for w in rest]
+        if abs(s) > _DEFLATE_RATIO * min(map(abs, rest)):
+            rest, rest_tags = _deflate((*q, 1.0), rest, rest_tags)
+    if not all(map(cmath.isfinite, rest)):
+        return roots, tags
+    return [*kept, *rest], (*kept_tags, *rest_tags)
 
 
 def solve(p: RealPolynomial) -> RootSet:
@@ -506,6 +550,8 @@ def solve(p: RealPolynomial) -> RootSet:
         inner = solve_depressed_quartic(dep)
     if degree >= 3:
         roots, tags = [z - dep.shift for z in inner.roots], inner.branch_tags
+        if degree == 4 and abs(dep.shift) > _DEFLATE_RATIO * min(map(abs, roots)):
+            roots, tags = _deflate(_monic_coefficients(p), roots, tags)
 
     coeffs_rev = tuple(reversed(p.coefficients))
     scale = max(1.0, max(map(abs, p.coefficients)))
