@@ -16,7 +16,9 @@ into a real two-equation system.  The systems used here:
   ``y^2 = x^2 + b/(4x) + a/2``; back-substitution yields a cubic resolvent in
   ``t = x^2``, and one positive resolvent root splits the quartic into the
   quadratic factors ``(w^2 - 2xw + beta0)(w^2 + 2xw + beta1)``, Newton-refined
-  against the quartic's coefficients.
+  against the quartic's coefficients.  When the depression shift swamps the
+  smallest root, :func:`solve` divides out the largest root and solves the
+  quotient instead.
 
 Degree 5 is where the approach stops paying off: the analogous elimination
 no longer reduces the degree, so those inputs are rejected.
@@ -78,9 +80,9 @@ _POLISH_TRIGGER = 1e-12
 # coefficients by more than this many units of roundoff (_EPS).
 _FACTOR_ULPS = 4.0
 _EPS = 2.0**-53
-# A quartic whose depression shift exceeds its smallest root this many times
-# over has lost that root's digits to the shift; solve() then deflates.
-_DEFLATE_RATIO = 1e3
+# A root of a cubic or quartic under this fraction of the depression shift
+# has lost its digits to the shift; solve() then deflates the quartic.
+_DEFLATE_BELOW = 1e-3
 
 # Branch tags that depend on a branch sign or a resolvent root index, built
 # once rather than formatted on every solve.  _RESOLVENT_TAGS[j] tags the roots
@@ -512,7 +514,7 @@ def _deflate(
         a = q[1] - 3.0 * s2
         rest, rest_tags = _omega_cubic(a, q[0] - s * (a + s2))
         rest = [w - s for w in rest]
-        if abs(s) > _DEFLATE_RATIO * min(map(abs, rest)):
+        if min(map(abs, rest)) < _DEFLATE_BELOW * abs(s):
             rest, rest_tags = _deflate((*q, 1.0), rest, rest_tags)
     if not all(map(cmath.isfinite, rest)):
         return roots, tags
@@ -550,8 +552,11 @@ def solve(p: RealPolynomial) -> RootSet:
         inner = solve_depressed_quartic(dep)
     if degree >= 3:
         roots, tags = [z - dep.shift for z in inner.roots], inner.branch_tags
-        if degree == 4 and abs(dep.shift) > _DEFLATE_RATIO * min(map(abs, roots)):
-            roots, tags = _deflate(_monic_coefficients(p), roots, tags)
+        if degree == 4:
+            small = _DEFLATE_BELOW * abs(dep.shift)
+            z0, z1, z2, z3 = roots
+            if abs(z0) < small or abs(z1) < small or abs(z2) < small or abs(z3) < small:
+                roots, tags = _deflate(_monic_coefficients(p), roots, tags)
 
     coeffs_rev = tuple(reversed(p.coefficients))
     scale = max(1.0, max(map(abs, p.coefficients)))
