@@ -21,13 +21,11 @@ from .poly_core import (
     evaluate,
     reconstruct_cubic,
     reconstruct_quartic,
-    undepress,
 )
 from .split_solver import (
     OMEGA,
     OMEGA_ANSATZ,
     ONE_MINUS_OMEGA,
-    ReducedCubicCoefficients,
     SplitAnsatz,
     SplitResidual,
     UnsupportedDegreeError,
@@ -54,7 +52,6 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "RealPolynomial",
-    "ReducedCubicCoefficients",
     "RootSet",
     "SplitAnsatz",
     "SplitResidual",
@@ -81,7 +78,6 @@ __all__ = [
     "solve_depressed_cubic",
     "solve_depressed_quartic",
     "solve_quadratic",
-    "undepress",
 ]
 
 __version__ = "0.1.0"

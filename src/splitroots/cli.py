@@ -60,11 +60,6 @@ _S2_NOTE = (
 )
 
 
-def _naive_reduction(a: float, b: float) -> tuple[float, float, float]:
-    red = naive_cubic_reduction(a, b)
-    return red.c3, red.c1, red.c0
-
-
 class _System(NamedTuple):
     """A split system, evaluated as ``residual(*coefficients, x, y)``."""
 
@@ -106,7 +101,7 @@ _DEGREES = {
                 omega_decompose,
             ),
         ),
-        _Reduction("naive reduction (c3, c1, c0)", "naive_reduction", _naive_reduction, False),
+        _Reduction("naive reduction (c3, c1, c0)", "naive_reduction", naive_cubic_reduction, False),
     ),
     4: _Degree(
         depress_quartic,

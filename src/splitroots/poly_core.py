@@ -198,21 +198,29 @@ def _monic_coefficients(p: RealPolynomial) -> tuple[float, ...]:
     return _require_finite(tuple([c / lead for c in p.coefficients]))
 
 
+def _depress_monic_cubic(alpha: float, beta: float, gamma: float) -> tuple[float, float, float]:
+    """``(a, b, shift)`` with ``z**3 + alpha*z**2 + beta*z + gamma`` equal to
+    ``w**3 + a*w + b`` at ``w = z + shift``.
+
+    Intermediates are arranged so that :func:`reconstruct_cubic` reverses
+    the arithmetic step for step.
+    """
+    s = alpha / 3.0
+    s2 = s * s
+    a = beta - 3.0 * s2
+    return a, gamma - s * (a + s2), s
+
+
 def depress_cubic(p: RealPolynomial) -> DepressedCubic:
     """Remove the quadratic term of a cubic via ``w = z + alpha/3``.
 
     The input is normalized to monic ``z**3 + alpha*z**2 + beta*z + gamma``
-    first.  Intermediates are arranged so that :func:`reconstruct_cubic`
-    reverses the arithmetic step for step.
+    first.
     """
     if p.degree != 3:
         raise ValueError(f"depress_cubic requires degree 3, got degree {p.degree}")
     gamma, beta, alpha, _ = _monic_coefficients(p)
-    s = alpha / 3.0
-    s2 = s * s
-    a = beta - 3.0 * s2
-    b = gamma - s * (a + s2)
-    return DepressedCubic(a=a, b=b, shift=s)
+    return DepressedCubic(*_depress_monic_cubic(alpha, beta, gamma))
 
 
 def reconstruct_cubic(dc: DepressedCubic) -> RealPolynomial:
@@ -248,16 +256,3 @@ def reconstruct_quartic(dq: DepressedQuartic) -> RealPolynomial:
     delta = dq.c + s * (dq.b + s * (dq.a + s2))
     return RealPolynomial((delta, gamma, beta, alpha, 1.0))
 
-
-def undepress(roots: RootSet, shift: float) -> RootSet:
-    """Translate depressed-domain roots back to the source variable.
-
-    ``w = z + shift`` means each source root is a depressed root minus
-    ``shift``.  Residuals are carried over unchanged; callers that need
-    residuals against the source polynomial must recompute them.
-    """
-    return RootSet(
-        roots=tuple(z - shift for z in roots.roots),
-        residuals=roots.residuals,
-        branch_tags=roots.branch_tags,
-    )

@@ -36,6 +36,7 @@ from .poly_core import (
     RealPolynomial,
     RootSet,
     _Record,
+    _depress_monic_cubic,
     _monic_coefficients,
     depress_cubic,
     depress_quartic,
@@ -71,8 +72,7 @@ OMEGA = OMEGA_ANSATZ.omega
 # sqrt(3)/2 are both preserved by the subtraction).
 ONE_MINUS_OMEGA = 1.0 - OMEGA
 
-# A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
-# (in _finish).
+# _finish snaps a root with |im| <= _IMAG_SNAP * max(1, |re|) onto the real axis.
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
@@ -117,16 +117,6 @@ class SplitResidual(_Record):
     @property
     def max_abs(self) -> float:
         return max(abs(self.real_part), abs(self.imag_part))
-
-
-class ReducedCubicCoefficients(_Record):
-    """Coefficients (cubic, linear, constant) of the naive-split elimination."""
-
-    _fields = ("c3", "c1", "c0")
-
-    def __init__(self, c3: float, c1: float, c0: float) -> None:
-        d = self.__dict__
-        d["c3"], d["c1"], d["c0"] = c3, c1, c0
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +176,19 @@ def quartic_split_residual(a: float, b: float, c: float, x: float, y: float) -> 
     )
 
 
-def naive_cubic_reduction(a: float, b: float) -> ReducedCubicCoefficients:
+def naive_cubic_reduction(a: float, b: float) -> tuple[float, float, float]:
     """Eliminate ``y`` from the naive cubic split: ``8x^3 + 2ax - b = 0``.
 
-    Still a cubic in ``x`` - the negative result that motivates the omega
-    ansatz.  The coefficients are exact in floating point.
+    Returns ``(c3, c1, c0)``, still a cubic in ``x`` - the negative result
+    that motivates the omega ansatz.  The coefficients are exact in floating
+    point.
     """
-    return ReducedCubicCoefficients(c3=8.0, c1=2.0 * a, c0=-b)
+    return 8.0, 2.0 * a, -b
 
 
 def omega_decompose(z: complex) -> tuple[float, float]:
     """Unique real ``(x, y)`` with ``z = x + OMEGA*y``."""
-    x, y = OMEGA_ANSATZ.decompose(z)
-    return x, y
+    return OMEGA_ANSATZ.decompose(z)
 
 
 def quartic_resolvent_coefficients(a: float, b: float, c: float) -> tuple[float, float, float, float]:
@@ -212,49 +202,40 @@ def quartic_resolvent_coefficients(a: float, b: float, c: float) -> tuple[float,
 
 
 def _polish_root(
-    coeffs_rev: tuple[float, ...], z: complex, scale: float, residual: float | None = None
+    coeffs_rev: tuple[float, ...], z: complex, scale: float, residual: float
 ) -> tuple[complex, float]:
-    # Newton steps, each kept only if the residual (|p(z)|, computed here when
-    # not given) drops; a kept step's evaluation supplies the next value and
-    # derivative.  _finish calls this for roots over the trigger.
-    if residual is None:
-        residual = horner_abs(coeffs_rev, z)
-    if residual > _POLISH_TRIGGER * scale:
-        value, deriv = horner_with_derivative(coeffs_rev, z)
-        for _ in range(8):
-            if deriv == 0:
-                break
-            candidate = z - value / deriv
-            candidate_value, candidate_deriv = horner_with_derivative(coeffs_rev, candidate)
-            r = abs(candidate_value)
-            if r < residual:
-                z, residual = candidate, r
-                value, deriv = candidate_value, candidate_deriv
-            else:
-                break
-            if residual <= _POLISH_TRIGGER * scale:
-                break
+    # Newton steps from a root whose residual |p(z)| is over the trigger
+    # (_finish calls it for no other), each kept only if the residual drops;
+    # a kept step's evaluation supplies the next value and derivative.
+    value, deriv = horner_with_derivative(coeffs_rev, z)
+    for _ in range(8):
+        if deriv == 0:
+            break
+        candidate = z - value / deriv
+        candidate_value, candidate_deriv = horner_with_derivative(coeffs_rev, candidate)
+        r = abs(candidate_value)
+        if r < residual:
+            z, residual = candidate, r
+            value, deriv = candidate_value, candidate_deriv
+        else:
+            break
+        if residual <= _POLISH_TRIGGER * scale:
+            break
     return z, residual
 
 
 def _finish(
-    coeffs_rev: tuple[float, ...],
-    scale: float,
-    roots: Sequence[complex],
-    tags: Sequence[str],
-    residuals: Sequence[float] | None = None,
+    coeffs_rev: tuple[float, ...], scale: float, roots: Sequence[complex], tags: Sequence[str]
 ) -> RootSet:
     # Polish the roots whose residual is over the trigger (few are), snap
-    # near-real roots onto the real axis and normalize -0.0 components.
-    # ``residuals``, when given, are the roots' |p(z)|; otherwise each is
-    # computed as the loop reaches it.  The roots are complex and the
-    # residuals float, so RootSet._trusted builds the result.
-    given = None if residuals is None else iter(residuals)
+    # near-real roots onto the real axis and normalize -0.0 components.  The
+    # roots are complex and the residuals float, so RootSet._trusted builds
+    # the result.
     trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
     out_residuals: list[float] = []
     for z in roots:
-        residual = horner_abs(coeffs_rev, z) if given is None else next(given)
+        residual = horner_abs(coeffs_rev, z)
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
         im = z.imag
@@ -349,6 +330,18 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
     third_a = a / 3.0
     roots = [ONE_MINUS_OMEGA * x - OMEGA * (third_a / x) for x in _cube_roots(x_cubed)]
     return roots, _OMEGA_TAGS[branch]
+
+
+def _shifted_omega_cubic(
+    c2: float, c1: float, c0: float
+) -> tuple[list[complex], tuple[str, ...], float]:
+    """The omega roots of ``t**3 + c2*t**2 + c1*t + c0``, depressed by ``t = w - shift``.
+
+    Returns the unpolished roots, their tags and the shift.
+    """
+    a, b, s = _depress_monic_cubic(c2, c1, c0)
+    roots, tags = _omega_cubic(a, b)
+    return [w - s for w in roots], tags, s
 
 
 def solve_depressed_cubic(dc: DepressedCubic) -> RootSet:
@@ -449,14 +442,9 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> RootSet:
     _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
-    # Depress the resolvent by t = u - r2/3 (the arithmetic of depress_cubic)
-    # and take its omega roots there.  The real ones, largest first, are those
-    # whose imaginary part is rounding next to the largest root.
-    s = r2 / 3.0
-    s2 = s * s
-    ra = r1 - 3.0 * s2
-    rb = r0 - s * (ra + s2)
-    t_roots = [u - s for u in _omega_cubic(ra, rb)[0]]
+    # The resolvent's real roots, largest first, are those whose imaginary
+    # part is rounding next to the largest root.
+    t_roots = _shifted_omega_cubic(r2, r1, r0)[0]
     cut = 1e-7 * max(1.0, *map(abs, t_roots))
     candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
     # The factors stay nan only when the resolvent's roots overflow.
@@ -509,11 +497,7 @@ def _deflate(
     if len(q) == 2:
         rest, rest_tags = _quadratic_roots(q[1], q[0])
     else:
-        s = q[2] / 3.0
-        s2 = s * s
-        a = q[1] - 3.0 * s2
-        rest, rest_tags = _omega_cubic(a, q[0] - s * (a + s2))
-        rest = [w - s for w in rest]
+        rest, rest_tags, s = _shifted_omega_cubic(q[2], q[1], q[0])
         if min(map(abs, rest)) < _DEFLATE_BELOW * abs(s):
             rest, rest_tags = _deflate((*q, 1.0), rest, rest_tags)
     if not all(map(cmath.isfinite, rest)):

@@ -168,13 +168,13 @@ def test_criterion_4_naive_reduction():
     for _ in range(1000):
         a = rng.uniform(-100.0, 100.0)
         b = rng.uniform(-100.0, 100.0)
-        red = naive_cubic_reduction(a, b)
-        assert red.c3 == 8.0
-        assert red.c1 == 2.0 * a
-        assert red.c0 == -b
+        c3, c1, c0 = naive_cubic_reduction(a, b)
+        assert c3 == 8.0
+        assert c1 == 2.0 * a
+        assert c0 == -b
     # the elimination does not lower the degree: the leading coefficient is a
     # nonzero constant, so the reduced equation is again a cubic
-    assert naive_cubic_reduction(0.0, 0.0).c3 != 0.0
+    assert naive_cubic_reduction(0.0, 0.0)[0] != 0.0
     # substitution check: for roots with y != 0, x = Re(z) solves the reduction
     checked = 0
     rng = random.Random(405)
@@ -182,12 +182,12 @@ def test_criterion_4_naive_reduction():
         a = rng.uniform(-10.0, 10.0)
         b = rng.uniform(-10.0, 10.0)
         p = RealPolynomial((b, a, 0.0, 1.0))
-        red = naive_cubic_reduction(a, b)
+        c3, c1, c0 = naive_cubic_reduction(a, b)
         for z in solve(p).roots:
             if z.imag == 0.0:
                 continue
             x = z.real
-            value = red.c3 * x**3 + red.c1 * x + red.c0
+            value = c3 * x**3 + c1 * x + c0
             bound = 1e-7 * max(1.0, 8.0 * abs(x) ** 3, 2.0 * abs(a * x), abs(b))
             assert abs(value) <= bound, (a, b, z)
             checked += 1

@@ -19,7 +19,6 @@ from splitroots.poly_core import (
     horner_with_derivative,
     reconstruct_cubic,
     reconstruct_quartic,
-    undepress,
 )
 
 finite_coeff = st.floats(
@@ -202,16 +201,6 @@ class TestDepression:
             depress_cubic(RealPolynomial((1.0, 1.0, 1.0)))
         with pytest.raises(ValueError):
             depress_quartic(RealPolynomial((1.0, 1.0, 1.0, 1.0)))
-
-    def test_undepress_translates_roots(self):
-        rs = RootSet(
-            roots=(complex(1.0, 0.0), complex(0.0, 2.0)),
-            residuals=(0.0, 0.0),
-            branch_tags=("a", "b"),
-        )
-        shifted = undepress(rs, shift=-2.0)
-        assert shifted.roots == (complex(3.0, 0.0), complex(2.0, 2.0))
-        assert shifted.branch_tags == ("a", "b")
 
 
 class TestContainers:

@@ -8,7 +8,6 @@ from splitroots import (
     OracleConfig,
     OracleResult,
     RealPolynomial,
-    ReducedCubicCoefficients,
     RootSet,
     SplitAnsatz,
     SplitResidual,
@@ -38,11 +37,6 @@ CASES = [
         SplitResidual(real_part=1.0, imag_part=-0.5),
         ("real_part", "imag_part"),
         "SplitResidual(real_part=1.0, imag_part=-0.5)",
-    ),
-    (
-        ReducedCubicCoefficients(8.0, 2.0, -2.0),
-        ("c3", "c1", "c0"),
-        "ReducedCubicCoefficients(c3=8.0, c1=2.0, c0=-2.0)",
     ),
     (
         OracleConfig(),
@@ -97,7 +91,6 @@ class TestFrozenRecord:
 
 
 def test_unequal_across_record_types_with_the_same_values():
-    assert DepressedCubic(8.0, 2.0, -2.0) != ReducedCubicCoefficients(8.0, 2.0, -2.0)
     assert OracleResult(1.0, 2.0, 3.0, 4.0) != DepressedQuartic(1.0, 2.0, 3.0, 4.0)
 
 

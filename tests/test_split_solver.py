@@ -457,22 +457,33 @@ class TestReductions:
         for _ in range(200):
             a = rng.uniform(-100.0, 100.0)
             b = rng.uniform(-100.0, 100.0)
-            red = naive_cubic_reduction(a, b)
-            assert red.c3 == 8.0
-            assert red.c1 == 2.0 * a
-            assert red.c0 == -b
+            c3, c1, c0 = naive_cubic_reduction(a, b)
+            assert c3 == 8.0
+            assert c1 == 2.0 * a
+            assert c0 == -b
+
+    def test_reductions_are_plain_float_tuples(self):
+        # Both eliminations return bare coefficient tuples, not records.
+        a, b, c = -7.25, 6.5, 3.0
+        reduced = naive_cubic_reduction(a, b)
+        assert type(reduced) is tuple
+        assert reduced == (8.0, 2.0 * a, -b)
+        resolvent = quartic_resolvent_coefficients(a, b, c)
+        assert type(resolvent) is tuple and len(resolvent) == 4
+        for coefficients in (reduced, resolvent):
+            assert all(type(v) is float for v in coefficients)
 
     def test_naive_reduction_stays_cubic(self):
         # eliminating y between the two naive equations does not drop the
         # degree: the result is again a cubic in x.
-        red = naive_cubic_reduction(-7.0, 6.0)
-        assert red.c3 != 0.0
+        c3, _, _ = naive_cubic_reduction(-7.0, 6.0)
+        assert c3 != 0.0
 
     def test_naive_reduction_roots_are_real_parts(self):
         # Eliminating y (via y^2 = 3x^2 + a, the y != 0 branch) shows the real
         # part x of each conjugate-pair root solves 8x^3 + 2ax - b = 0.
         a, b = 1.0, 1.0  # z^3 + z + 1 has one real root and one conjugate pair
-        red = naive_cubic_reduction(a, b)
+        c3, c1, c0 = naive_cubic_reduction(a, b)
         pair = [
             z
             for z in solve_depressed_cubic(DepressedCubic(a=a, b=b)).roots
@@ -481,7 +492,7 @@ class TestReductions:
         assert len(pair) == 2
         for z in pair:
             x = z.real
-            value = red.c3 * x**3 + red.c1 * x + red.c0
+            value = c3 * x**3 + c1 * x + c0
             assert abs(value) <= 1e-9
 
     def test_resolvent_pinned(self):
@@ -691,11 +702,12 @@ class TestHornerPasses:
             value_passes[0] += 1
             return horner_abs(coeffs_rev, z)
 
+        z0 = complex(math.sqrt(2.0) + 1e-3, 0.0)
+        residual0 = abs(evaluate(RealPolynomial((-2.0, 0.0, 1.0)), z0))
         monkeypatch.setattr(split_solver, "horner_with_derivative", recording)
         monkeypatch.setattr(split_solver, "horner_abs", counting)
-        z0 = complex(math.sqrt(2.0) + 1e-3, 0.0)
-        z, residual = split_solver._polish_root((1.0, 0.0, -2.0), z0, scale)
-        assert value_passes[0] == 1
+        z, residual = split_solver._polish_root((1.0, 0.0, -2.0), z0, scale, residual0)
+        assert value_passes[0] == 0
         # One full pass at the start point; every later one is at the Newton
         # candidate built from the pass before it, so no point is evaluated twice.
         assert calls[0][0] == z0
@@ -715,10 +727,11 @@ class TestHornerPasses:
         def forbidden(coeffs_rev, z):
             raise AssertionError("the residual was already known")
 
-        monkeypatch.setattr(split_solver, "horner_abs", forbidden)
-        z0 = complex(math.sqrt(2.0), 0.0)
+        z0 = complex(math.sqrt(2.0) + 1e-3, 0.0)
         known = abs(evaluate(RealPolynomial((-2.0, 0.0, 1.0)), z0))
-        assert split_solver._polish_root((1.0, 0.0, -2.0), z0, 2.0, known) == (z0, known)
+        want = _reference_polish_root((1.0, 0.0, -2.0), z0, 2.0)
+        monkeypatch.setattr(split_solver, "horner_abs", forbidden)
+        assert split_solver._polish_root((1.0, 0.0, -2.0), z0, 2.0, known) == want
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +739,12 @@ class TestHornerPasses:
 # ---------------------------------------------------------------------------
 
 
-def _reference_polish_root(coeffs_rev, z, scale, residual=None):
+def _reference_polish_root(coeffs_rev, z, scale):
     # The per-root polish as _finish used to run it on every root: Newton
     # steps, the real-axis snap and the -0.0 normalization in one function.
     # A change meant to move roots, such as a relative snap, changes this
     # reference with it.
-    if residual is None:
-        residual = split_solver.horner_abs(coeffs_rev, z)
+    residual = split_solver.horner_abs(coeffs_rev, z)
     if residual > split_solver._POLISH_TRIGGER * scale:
         value, deriv = split_solver.horner_with_derivative(coeffs_rev, z)
         for _ in range(8):
@@ -756,15 +768,13 @@ def _reference_polish_root(coeffs_rev, z, scale, residual=None):
     return z, residual
 
 
-def _reference_finish(coeffs_rev, scale, roots, tags, residuals=None):
+def _reference_finish(coeffs_rev, scale, roots, tags):
     # The reference finishing pass: the polish above on every root, then the
     # public, validating RootSet constructor.
-    if residuals is None:
-        residuals = [None] * len(roots)
     out_roots = []
     out_residuals = []
-    for z, residual in zip(roots, residuals):
-        z, residual = _reference_polish_root(coeffs_rev, z, scale, residual)
+    for z in roots:
+        z, residual = _reference_polish_root(coeffs_rev, z, scale)
         out_roots.append(z)
         out_residuals.append(residual)
     return RootSet(roots=tuple(out_roots), residuals=tuple(out_residuals), branch_tags=tuple(tags))
@@ -847,30 +857,26 @@ class TestFinishBitIdentity:
                 )
 
     @pytest.mark.parametrize(
-        "coeffs_rev, scale, roots, residuals",
+        "coeffs_rev, scale, roots",
         [
             # residual over the trigger: Newton steps from 1e-3 off sqrt(2)
-            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)], None),
+            ((1.0, 0.0, -2.0), 2.0, [complex(math.sqrt(2.0) + 1e-3, 0.0)]),
             # snap-eligible roots, with and without a Newton step first
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)], None),
-            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)], None),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)]),
             # -0.0 real part, -0.0 imaginary part, both, and a -0.0 snap result
-            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)], None),
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)], None),
-            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)], None),
+            ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)]),
+            ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)]),
             # non-finite values: a nan residual, an overflowing one, nan roots
-            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)], None),
-            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)], None),
-            # residuals passed in by the caller, a nan one among them
-            ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 0.0), complex(-1.0, 1e-9)], [0.0, 2e-9]),
-            ((1.0, 0.0, -2.0), 2.0, [complex(1.5, 0.0), complex(-0.0, 1.0)], [math.nan, 3.0]),
-            ((1.0, 0.0, -2.0, 1.0), 2.0, [1 + 0j, complex(1.7, 1e-9), complex(-1.6, -0.0)], [0.0, 1.0, 0.5]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.nan, 0.0), complex(1e200, 1e200)]),
+            ((1.0, 0.0, -1.0), 1.0, [complex(math.inf, 0.0), complex(1.0, math.nan)]),
         ],
     )
-    def test_hand_cases(self, coeffs_rev, scale, roots, residuals):
+    def test_hand_cases(self, coeffs_rev, scale, roots):
         tags = [f"t{k}" for k in range(len(roots))]
-        got = split_solver._finish(coeffs_rev, scale, roots, tags, residuals)
-        want = _reference_finish(coeffs_rev, scale, roots, tags, residuals)
+        got = split_solver._finish(coeffs_rev, scale, roots, tags)
+        want = _reference_finish(coeffs_rev, scale, roots, tags)
         assert repr(got) == repr(want)
 
 
