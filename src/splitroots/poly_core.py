@@ -199,11 +199,10 @@ def _monic_coefficients(p: RealPolynomial) -> tuple[float, ...]:
 
 
 def _depress_monic_cubic(alpha: float, beta: float, gamma: float) -> tuple[float, float, float]:
-    """``(a, b, shift)`` with ``z**3 + alpha*z**2 + beta*z + gamma`` equal to
-    ``w**3 + a*w + b`` at ``w = z + shift``.
+    """Depress ``z**3 + alpha*z**2 + beta*z + gamma`` to ``w**3 + a*w + b`` at ``w = z + shift``.
 
-    Intermediates are arranged so that :func:`reconstruct_cubic` reverses
-    the arithmetic step for step.
+    Returns ``(a, b, shift)``; :func:`reconstruct_cubic` reverses the
+    arithmetic step for step.
     """
     s = alpha / 3.0
     s2 = s * s

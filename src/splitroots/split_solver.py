@@ -72,7 +72,8 @@ OMEGA = OMEGA_ANSATZ.omega
 # sqrt(3)/2 are both preserved by the subtraction).
 ONE_MINUS_OMEGA = 1.0 - OMEGA
 
-# _finish snaps a root with |im| <= _IMAG_SNAP * max(1, |re|) onto the real axis.
+# A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
+# (in _finish).
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
@@ -335,9 +336,9 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
 def _shifted_omega_cubic(
     c2: float, c1: float, c0: float
 ) -> tuple[list[complex], tuple[str, ...], float]:
-    """The omega roots of ``t**3 + c2*t**2 + c1*t + c0``, depressed by ``t = w - shift``.
+    """Unpolished roots of ``t**3 + c2*t**2 + c1*t + c0``, their tags and the shift.
 
-    Returns the unpolished roots, their tags and the shift.
+    The roots are the omega roots of its depression in ``w = t + shift``.
     """
     a, b, s = _depress_monic_cubic(c2, c1, c0)
     roots, tags = _omega_cubic(a, b)
