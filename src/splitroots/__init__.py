@@ -37,8 +37,6 @@ from .split_solver import (
     quartic_resolvent_coefficients,
     quartic_split_residual,
     solve,
-    solve_depressed_cubic,
-    solve_depressed_quartic,
     solve_quadratic,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "ONE_MINUS_OMEGA",
     "DepressedCubic",
     "DepressedQuartic",
-    "OracleConfig",
     "OracleResult",
     "ParseError",
     "RealPolynomial",
@@ -75,8 +72,6 @@ __all__ = [
     "reconstruct_cubic",
     "reconstruct_quartic",
     "solve",
-    "solve_depressed_cubic",
-    "solve_depressed_quartic",
     "solve_quadratic",
 ]
 
@@ -85,7 +80,6 @@ __version__ = "0.1.0"
 # Loaded on first use by __getattr__: name -> the submodule that defines it.
 _LAZY = {
     "oracle": "oracle",
-    "OracleConfig": "oracle",
     "OracleResult": "oracle",
     "find_roots": "oracle",
     "max_pairing_distance": "oracle",

@@ -285,7 +285,7 @@ def _add_reduction(reduction: _Reduction, coeffs, lines: list | None, diagnostic
 # attribute, so a run that never consults it does not load it.  Callers look
 # these two names up as module globals at call time; nothing here rebinds them.
 def find_roots(p: RealPolynomial):
-    """The oracle's :class:`~splitroots.oracle.OracleResult` for ``p``, default config."""
+    """The oracle's :class:`~splitroots.oracle.OracleResult` for ``p``."""
     return splitroots.oracle.find_roots(p)
 
 
@@ -569,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_split = sub.add_parser(
         "split-system",
-        parents=[common],
+        parents=[json_only],
         help="evaluate split-system residuals at a point (x, y)",
     )
     p_split.add_argument("expr", help="polynomial expression")

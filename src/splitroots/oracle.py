@@ -27,28 +27,16 @@ CLUSTER_DISTANCE = 1e-3
 # real-coefficient symmetry could stall the iteration.
 _RING_PHASE = 0.4
 
+# The iteration stops after _MAX_ITERATIONS sweeps, or once no step exceeds
+# _TOLERANCE * (1 + max|z|); a root converged when its residual is within
+# _TOLERANCE * scale * max(1, |z|)**n.  A cluster's radius is at least
+# _CLUSTER_RADIUS_FLOOR.
+_MAX_ITERATIONS = 200
+_TOLERANCE = 1e-13
+_CLUSTER_RADIUS_FLOOR = 1e-7
 
-class OracleConfig(_Record):
-    """Iteration limits and reporting thresholds for :func:`find_roots`."""
-
-    _fields = ("max_iterations", "convergence_tolerance", "cluster_radius_factor")
-
-    def __init__(
-        self,
-        max_iterations: int = 200,
-        convergence_tolerance: float = 1e-13,
-        cluster_radius_factor: float = 1e-7,
-    ) -> None:
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if convergence_tolerance <= 0.0:
-            raise ValueError("convergence_tolerance must be positive")
-        if cluster_radius_factor <= 0.0:
-            raise ValueError("cluster_radius_factor must be positive")
-        d = self.__dict__
-        d["max_iterations"], d["convergence_tolerance"], d["cluster_radius_factor"] = (
-            max_iterations, convergence_tolerance, cluster_radius_factor
-        )
+# Newton steps in the final polish of each root.
+_POLISH_STEPS = 3
 
 
 class OracleResult(_Record):
@@ -61,7 +49,7 @@ class OracleResult(_Record):
         )
 
 
-def _polish(coeffs_rev: tuple[float, ...], z: complex, steps: int = 3) -> tuple[complex, float]:
+def _polish(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, float]:
     """Newton steps accepted only while the residual strictly decreases.
 
     Returns the polished root and its residual ``|p(z)|``.  A step reuses the
@@ -70,7 +58,7 @@ def _polish(coeffs_rev: tuple[float, ...], z: complex, steps: int = 3) -> tuple[
     """
     p, dp = horner_with_derivative(coeffs_rev, z)
     best = abs(p)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         if dp == 0:
             break
         candidate = z - p / dp
@@ -118,21 +106,17 @@ def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...
     return tuple(radii)
 
 
-def find_roots(p: RealPolynomial, config: OracleConfig | None = None) -> OracleResult:
+def find_roots(p: RealPolynomial) -> OracleResult:
     """Find all complex roots of ``p`` by simultaneous iteration.
 
-    Deterministic: the same polynomial and configuration always produce
-    bit-identical results.
+    Deterministic: the same polynomial always produces bit-identical results.
     """
-    if config is None:
-        config = OracleConfig()
     if p.degree < 1:
         raise ValueError("find_roots requires degree >= 1")
 
     coeffs = p.monic().coefficients
     n = p.degree
     coeffs_rev = tuple(reversed(coeffs))
-    tol = config.convergence_tolerance
     scale = max(1.0, max(abs(c) for c in coeffs))
 
     if n == 1:
@@ -141,7 +125,7 @@ def find_roots(p: RealPolynomial, config: OracleConfig | None = None) -> OracleR
         return OracleResult(
             roots=(root,),
             iterations_used=0,
-            converged=residual <= tol * scale,
+            converged=residual <= _TOLERANCE * scale,
             cluster_radii=(0.0,),
         )
 
@@ -149,7 +133,7 @@ def find_roots(p: RealPolynomial, config: OracleConfig | None = None) -> OracleR
     z = [radius * cmath.exp(1j * (2.0 * cmath.pi * k / n + _RING_PHASE)) for k in range(n)]
 
     iterations_used = 0
-    for _ in range(config.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         iterations_used += 1
         new_z = list(z)
         max_step = 0.0
@@ -188,20 +172,20 @@ def find_roots(p: RealPolynomial, config: OracleConfig | None = None) -> OracleR
             if step > max_step:
                 max_step = step
         z = new_z
-        if max_step <= tol * (1.0 + max(map(abs, z))):
+        if max_step <= _TOLERANCE * (1.0 + max(map(abs, z))):
             break
 
     z, residuals = zip(*[_polish(coeffs_rev, w) for w in z])
     # Residual floor grows like |z|^n: evaluation rounding alone reaches
     # eps * scale * |z|^n, so the convergence check must scale the same way.
     converged = all(
-        r <= tol * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
+        r <= _TOLERANCE * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
     )
     return OracleResult(
         roots=z,
         iterations_used=iterations_used,
         converged=converged,
-        cluster_radii=_cluster_radii(z, config.cluster_radius_factor),
+        cluster_radii=_cluster_radii(z, _CLUSTER_RADIUS_FLOOR),
     )
 
 

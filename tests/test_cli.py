@@ -130,6 +130,17 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "--tolerance" not in capsys.readouterr().out
 
+    def test_split_system_takes_no_tolerance(self, capsys):
+        # split-system prints no roots, so there is no residual to warn on.
+        with pytest.raises(SystemExit) as exc:
+            main(["split-system", "z^2 + 1", "--tolerance", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance 5" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["split-system", "--help"])
+        assert exc.value.code == 0
+        assert "--tolerance" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]])
     def test_non_finite_oracle_root_is_4_in_text_mode(self, command, capsys):
         # The oracle's iteration overflows on this input and returns nan
@@ -545,7 +556,7 @@ class TestLazyNames:
             "def loaded():\n"
             "    return {'splitroots.oracle', 'splitroots.parser'} & set(sys.modules)\n"
             "assert not loaded(), loaded()\n"
-            "lazy = ['OracleConfig', 'OracleResult', 'find_roots', 'max_pairing_distance', "
+            "lazy = ['OracleResult', 'find_roots', 'max_pairing_distance', "
             "'pair_roots', 'ParseError', 'format_polynomial', 'parse_polynomial']\n"
             "assert set(lazy) <= set(splitroots.__all__)\n"
         )

@@ -8,7 +8,6 @@ import pytest
 
 from splitroots import oracle
 from splitroots.oracle import (
-    OracleConfig,
     find_roots,
     max_pairing_distance,
     pair_roots,
@@ -110,12 +109,6 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             find_roots(RealPolynomial((5.0,)))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OracleConfig(convergence_tolerance=-1.0)
 
 
 def _counting_horner(monkeypatch) -> list[complex]:

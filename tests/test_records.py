@@ -5,7 +5,6 @@ import pytest
 from splitroots import (
     DepressedCubic,
     DepressedQuartic,
-    OracleConfig,
     OracleResult,
     RealPolynomial,
     RootSet,
@@ -37,12 +36,6 @@ CASES = [
         SplitResidual(real_part=1.0, imag_part=-0.5),
         ("real_part", "imag_part"),
         "SplitResidual(real_part=1.0, imag_part=-0.5)",
-    ),
-    (
-        OracleConfig(),
-        ("max_iterations", "convergence_tolerance", "cluster_radius_factor"),
-        "OracleConfig(max_iterations=200, convergence_tolerance=1e-13, "
-        "cluster_radius_factor=1e-07)",
     ),
     (
         OracleResult((1 + 0j, -1 + 0j), 5, True, (0.0, 0.0)),
@@ -106,24 +99,6 @@ class TestDefaultsAndValidation:
     def test_shift_defaults_to_zero(self):
         assert DepressedCubic(1.0, 2.0).shift == 0.0
         assert DepressedQuartic(1.0, 2.0, 3.0).shift == 0.0
-
-    def test_oracle_config_defaults(self):
-        config = OracleConfig()
-        assert config.max_iterations == 200
-        assert config.convergence_tolerance == 1e-13
-        assert config.cluster_radius_factor == 1e-7
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"max_iterations": 0}, "max_iterations must be positive"),
-            ({"convergence_tolerance": 0.0}, "convergence_tolerance must be positive"),
-            ({"cluster_radius_factor": -1.0}, "cluster_radius_factor must be positive"),
-        ],
-    )
-    def test_oracle_config_rejects_nonpositive(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            OracleConfig(**kwargs)
 
 
 class TestOutputRecords:
