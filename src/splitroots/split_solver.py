@@ -11,14 +11,17 @@ into a real two-equation system.  The systems used here:
   system is kept as a residual evaluator precisely because it fails.
 * cubic, ``omega = (1 + i*sqrt(3))/2`` (a cube root of -1): the imaginary
   equation factors as ``y*(3x^2 + 3xy + a)``; the nontrivial branch collapses
-  the real part to ``x^6 - b*x^3 - a^3/27 = 0``, a quadratic in ``x^3``.
+  the real part to ``x^6 - b*x^3 - a^3/27 = 0``, a quadratic in ``x^3``.  The
+  roots it generates are evaluated in real arithmetic (a real cube root, or
+  a cosine when all three roots are real), so real roots are exactly real.
 * quartic, ``omega = i``: the imaginary equation's nontrivial branch gives
   ``y^2 = x^2 + b/(4x) + a/2``; back-substitution yields a cubic resolvent in
   ``t = x^2``, and one positive resolvent root splits the quartic into the
   quadratic factors ``(w^2 - 2xw + beta0)(w^2 + 2xw + beta1)``, Newton-refined
-  against the quartic's coefficients.  When the depression shift swamps the
-  smallest root, :func:`solve` divides out the largest root and solves the
-  quotient instead.
+  against the quartic's coefficients.
+
+When the depression shift of a cubic or quartic swamps its smallest root,
+:func:`solve` divides out the largest root and solves the quotient instead.
 
 Degree 5 is where the approach stops paying off: the analogous elimination
 no longer reduces the degree, so those inputs are rejected.
@@ -71,6 +74,9 @@ OMEGA = OMEGA_ANSATZ.omega
 # 1 - OMEGA equals OMEGA.conjugate() exactly in floating point (0.5 and
 # sqrt(3)/2 are both preserved by the subtraction).
 ONE_MINUS_OMEGA = 1.0 - OMEGA
+# Im(OMEGA) and arg(OMEGA), for the omega cubic's real forms.
+_HALF_SQRT3 = OMEGA.imag
+_THIRD_PI = math.pi / 3.0
 
 # A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
 # (in _finish).
@@ -82,7 +88,7 @@ _POLISH_TRIGGER = 1e-12
 _FACTOR_ULPS = 4.0
 _EPS = 2.0**-53
 # A root of a cubic or quartic under this fraction of the depression shift
-# has lost its digits to the shift; solve() then deflates the quartic.
+# has lost its digits to the shift; solve() then deflates the polynomial.
 _DEFLATE_BELOW = 1e-3
 
 # Branch tags that depend on a branch sign or a resolvent root index, built
@@ -251,12 +257,6 @@ def _finish(
     return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
 
 
-def _cube_roots(w: complex) -> list[complex]:
-    r, theta = cmath.polar(w)
-    m = r ** (1.0 / 3.0)
-    return [cmath.rect(m, (theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-
-
 def _real_cbrt(v: float) -> float:
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
 
@@ -303,19 +303,42 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
     On the nontrivial branch ``y = -x - a/(3x)`` the omega system collapses to
     ``x^6 - b*x^3 - a^3/27 = 0``; one quadratic-formula branch for ``x^3``
     plus its three cube roots already generate all three roots through
-    ``w = (1 - omega)*x - omega*a/(3x)``.
+    ``w = (1 - omega)*x - omega*a/(3x)``.  The formula is evaluated in real
+    arithmetic, so a real root has imaginary part exactly 0.0 and a complex
+    pair is exactly conjugate.  ``omega-branch-k`` is the root from the k-th
+    cube root of ``x^3`` in ``cmath.polar`` angle order, ``(arg(x^3) +
+    2*pi*k)/3``:
+
+    * ``x^3`` real (``disc = b^2/4 + a^3/27 >= 0``): with ``r`` its real cube
+      root and ``u = a/(3r)``, the real root is ``u - r`` (k = 2 when ``x^3 >
+      0``, k = 0 when ``x^3 < 0``) and the pair is ``-(u - r)/2 -+
+      i*(sqrt(3)/2)*(r + u)``, in that order.
+    * ``x^3`` complex (``disc < 0``, three real roots): ``|x|^2 = -a/3``, so
+      the root from ``x = |x|*e^(i*phi)`` is ``2*sqrt(-a/3)*cos(phi - pi/3)``.
+
+    A small root that cancels in these forms comes from the product of the
+    roots, ``-b``, instead.
     """
     if a == 0.0:
         if b == 0.0:
             return [0j, 0j, 0j], ("triple-zero",) * 3
         # w**3 = -b: take the real cube root exactly, rotate for the pair.
         r = _real_cbrt(-b)
-        rot = complex(-0.5, math.sqrt(3.0) / 2.0)
+        rot = complex(-0.5, _HALF_SQRT3)
         roots = [complex(r, 0.0), r * rot, r * rot.conjugate()]
         return roots, ("cube-root-0", "cube-root-1", "cube-root-2")
 
     disc = 0.25 * b * b + a * a * a / 27.0
-    sqrt_disc = cmath.sqrt(complex(disc, 0.0))
+    if disc < 0.0:
+        # arg(x^3) lies in (0, pi), so root 1, the middle one, is the
+        # smallest and the one the cosine would cancel.
+        f = 2.0 * math.sqrt(-a / 3.0)
+        phi = math.atan2(math.sqrt(-disc), 0.5 * b) / 3.0
+        w0 = f * math.cos(phi - _THIRD_PI)
+        w2 = -f * math.cos(phi)
+        return [complex(w0, 0.0), complex(-b / (w0 * w2), 0.0), complex(w2, 0.0)], _OMEGA_TAGS["+"]
+
+    sqrt_disc = math.sqrt(disc)
     x_cubed = 0.5 * b + sqrt_disc
     branch = "+"
     if abs(x_cubed) < 1e-300:
@@ -328,9 +351,17 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
         tags = ("near-origin-degenerate:0", "near-origin-degenerate:1", "near-origin-degenerate:2")
         return [complex(0.0, 0.0), r, -r], tags
 
-    third_a = a / 3.0
-    roots = [ONE_MINUS_OMEGA * x - OMEGA * (third_a / x) for x in _cube_roots(x_cubed)]
-    return roots, _OMEGA_TAGS[branch]
+    r = _real_cbrt(x_cubed)
+    u = a / 3.0 / r
+    real = u - r
+    if 3.0 * abs(real) < abs(r + u):
+        # u - r has lost a bit or more; the real root times |pair|^2 =
+        # r*r + r*u + u*u is -b, and that sum does not cancel.
+        real = -b / (r * r + r * u + u * u)
+    x, y = -0.5 * real, _HALF_SQRT3 * (r + u)
+    if x_cubed > 0.0:
+        return [complex(x, -y), complex(x, y), complex(real, 0.0)], _OMEGA_TAGS[branch]
+    return [complex(real, 0.0), complex(x, -y), complex(x, y)], _OMEGA_TAGS[branch]
 
 
 def _shifted_omega_cubic(
@@ -362,9 +393,10 @@ def _refine_resolvent_root(r2: float, r1: float, r0: float, t: float) -> float:
         d = (3.0 * t + 2.0 * r2) * t + r1
         new_t = t - v / d if d != 0.0 else t
         new_v = ((new_t + r2) * new_t + r1) * new_t + r0
-        if not abs(new_v) < abs(v) and abs(new_t - t) > 1e-8 * abs(t):
+        if not abs(new_v) < abs(v) and (d == 0.0 or abs(new_t - t) > 1e-8 * abs(t)):
             # A long step overshot from next to a near-double root, where the
-            # slope nearly vanishes: go to the local quadratic's nearer root.
+            # slope nearly vanishes, or the slope is 0.0 (t at a double root
+            # of the rounded cubic): go to the local quadratic's nearer root.
             disc = d * d - 4.0 * (3.0 * t + r2) * v
             if disc > 0.0:
                 new_t = t - 2.0 * v / (d + math.copysign(math.sqrt(disc), d))
@@ -536,11 +568,10 @@ def solve(p: RealPolynomial) -> RootSet:
         roots, tags = solve_depressed_quartic(dep)
     if degree >= 3:
         roots = [z - dep.shift for z in roots]
-        if degree == 4:
-            small = _DEFLATE_BELOW * abs(dep.shift)
-            z0, z1, z2, z3 = roots
-            if abs(z0) < small or abs(z1) < small or abs(z2) < small or abs(z3) < small:
-                roots, tags = _deflate(_monic_coefficients(p), roots, tags)
+        small = _DEFLATE_BELOW * abs(dep.shift)
+        # roots[-1] is a quartic's fourth root, or a cubic's third again.
+        if abs(roots[0]) < small or abs(roots[1]) < small or abs(roots[2]) < small or abs(roots[-1]) < small:
+            roots, tags = _deflate(_monic_coefficients(p), roots, tags)
 
     coeffs_rev = tuple(reversed(p.coefficients))
     scale = max(1.0, max(map(abs, p.coefficients)))

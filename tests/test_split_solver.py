@@ -15,6 +15,7 @@ from splitroots.poly_core import (
     DepressedQuartic,
     RealPolynomial,
     RootSet,
+    _depress_monic_cubic,
     _monic_coefficients,
     depress_cubic,
     depress_quartic,
@@ -150,6 +151,96 @@ class TestDepressedCubic:
         p = _depressed(a, b)
         for z in solve(p).roots:
             assert abs(evaluate(p, z)) <= _residual_bound(p, z)
+
+
+# ---------------------------------------------------------------------------
+# reference: the complex polar/rect omega kernel the real forms replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_omega_cubic(a, b):
+    # w = (1 - omega)*x - omega*a/(3x) over the three complex cube roots of
+    # one quadratic-formula branch for x^3, as _omega_cubic computed it with
+    # cmath.polar and cmath.rect; the a == 0 and near-origin paths are left out.
+    disc = 0.25 * b * b + a * a * a / 27.0
+    sqrt_disc = cmath.sqrt(complex(disc, 0.0))
+    x_cubed = 0.5 * b + sqrt_disc
+    branch = "+"
+    if abs(x_cubed) < 1e-300:
+        x_cubed = 0.5 * b - sqrt_disc
+        branch = "-"
+    r, theta = cmath.polar(x_cubed)
+    m = r ** (1.0 / 3.0)
+    xs = [cmath.rect(m, (theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    third_a = a / 3.0
+    return [ONE_MINUS_OMEGA * x - OMEGA * (third_a / x) for x in xs], branch
+
+
+def _kernel_inputs():
+    # (a, b) pairs for the omega kernel, a != 0: uniform and log-uniform
+    # draws (both branches of the disc >= 0 case, both signs of x^3, and
+    # disc < 0), plus hand cases.
+    rng = random.Random(20261019)
+    pairs = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(2000)]
+    pairs += [
+        tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2)) for _ in range(2000)
+    ]
+    # the "-" branch: x^3 = b/2 + sqrt(disc) cancels to zero
+    pairs += [(1e-120, -1.0), (-1e-120, -7.0), (231344.73995406597, -1.726389263103704e57)]
+    # disc == 0 exactly: (w - 1)^2 (w + 2) and (w - 2)^2 (w + 4)
+    pairs += [(-3.0, 2.0), (-12.0, 16.0), (-3.0, -2.0)]
+    # the depressed resolvent of w^4 + 4w^2 + 1e-8 w + 4, with disc == 0
+    _, r2, r1, r0 = quartic_resolvent_coefficients(4.0, 1e-8, 4.0)
+    pairs.append(_depress_monic_cubic(r2, r1, r0)[:2])
+    return pairs
+
+
+KERNEL_INPUTS = _kernel_inputs()
+
+
+class TestOmegaKernel:
+    def test_inputs_cover_every_case(self):
+        cases = set()
+        for a, b in KERNEL_INPUTS:
+            disc = 0.25 * b * b + a * a * a / 27.0
+            if disc < 0.0:
+                cases.add("disc < 0")
+                continue
+            branch = _reference_omega_cubic(a, b)[1]
+            x_cubed = 0.5 * b + math.sqrt(disc) if branch == "+" else 0.5 * b - math.sqrt(disc)
+            cases.add(f"{branch}, x^3 {'>' if x_cubed > 0.0 else '<'} 0")
+            if disc == 0.0:
+                cases.add("disc == 0")
+        assert cases == {"disc < 0", "+, x^3 > 0", "+, x^3 < 0", "-, x^3 < 0", "disc == 0"}
+
+    def test_matches_the_complex_reference(self):
+        # Root k against the reference's root k, within 8 ulps of the
+        # largest root: the same tags mean the same roots.
+        for a, b in KERNEL_INPUTS:
+            roots, tags = split_solver._omega_cubic(a, b)
+            want, branch = _reference_omega_cubic(a, b)
+            assert tags == tuple(f"omega-branch-{k}:{branch}" for k in range(3))
+            scale = max(map(abs, want))
+            for z, w in zip(roots, want):
+                assert abs(z - w) <= 8 * 2.0**-52 * scale, (a, b)
+
+    @given(
+        st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+        st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+    )
+    @settings(max_examples=500)
+    @example(a=-3.0, b=2.0)
+    @example(a=-1.3333333333333333, b=0.5925925925925926)
+    @example(a=1e-120, b=-1.0)
+    def test_real_roots_are_real_and_pairs_conjugate(self, a, b):
+        roots, tags = split_solver._omega_cubic(a, b)
+        if not tags[0].startswith("omega-branch"):
+            return
+        if 0.25 * b * b + a * a * a / 27.0 < 0.0:
+            assert all(z.imag == 0.0 for z in roots)
+        else:
+            # one root real, the other two exactly conjugate
+            assert any(roots[k].imag == 0.0 and roots[k - 1] == roots[k - 2].conjugate() for k in range(3))
 
 
 class TestDepressedQuartic:
@@ -349,8 +440,9 @@ def _fails_check(p: RealPolynomial, roots) -> bool:
 
 
 class TestDeflation:
-    # A quartic whose depression shift is over 1e3 times its smallest root
-    # keeps its largest root (or pair) and solves the rest from the quotient.
+    # A cubic or quartic whose depression shift is over 1e3 times its
+    # smallest root keeps its largest root (or a quartic's largest pair) and
+    # solves the rest from the quotient.
 
     @pytest.mark.parametrize(
         "coeffs, families",
@@ -372,6 +464,18 @@ class TestDeflation:
                 (1.3177973965732919, -239.57875656400395, -943567.4188907437, 0.5254637104477042, 1.4653516465810048e-06),
                 ("resolvent", "omega", "trivial", "trivial"),
             ),
+            # roots 4.5e9 and +-1.46e-3: without deflation the two small
+            # roots came out as a pair near +-0.037i
+            (
+                (0.5539407594834058, -1.5704142504809433, -258123.10133823956, 5.7442120909460046e-05),
+                ("omega", "trivial", "trivial"),
+            ),
+            # roots -3.8e9 and -9.8e-6 +- 0.016i: without deflation the pair
+            # came out as two real roots near +-0.035
+            (
+                (-2.0843592079086166, -0.16058805611471907, -8200.928429701078, -2.1673283282811203e-06),
+                ("omega", "conjugate", "conjugate"),
+            ),
         ],
     )
     def test_small_roots_come_from_the_quotient(self, coeffs, families):
@@ -391,6 +495,16 @@ class TestDeflation:
             failed += _fails_check(p, solve(p).roots)
         assert failed <= 3
 
+    def test_wide_cubics_match_the_oracle(self):
+        # The same for cubics: solved without deflation, 14 of these 300
+        # fail; the count may only fall.
+        rng = random.Random(43)
+        failed = 0
+        for _ in range(300):
+            p = RealPolynomial(tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(4)))
+            failed += _fails_check(p, solve(p).roots)
+        assert failed <= 3
+
     def test_unusable_largest_root_leaves_the_roots(self):
         # A largest root whose square is not a normal float, or a cubic's
         # complex largest pair, is not divided out.
@@ -404,8 +518,10 @@ class TestKnownWrongRoots:
     # Wrong roots that every other check passes, left for ROADMAP item 2
     # (a relative snap, power-of-two scaling and the reversed polynomial).
     # The tiny roots are lost to the real-axis snap's absolute floor; the
-    # wide quadratic and the cubic overflow.  strict=True: once item 2 makes
-    # one pass, its marker must come off.
+    # wide quadratic and the cubic overflow.  The biquadratic-path quartic
+    # loses two roots to its depression shift, and the deflation trigger
+    # misses them because the branch roots ignore the depressed odd term.
+    # strict=True: once item 2 makes one pass, its marker must come off.
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: scale-invariant solve")
     @pytest.mark.parametrize(
@@ -418,8 +534,18 @@ class TestKnownWrongRoots:
             ((1e-20, 0.0, 1.0), [1e-10j, -1e-10j]),
             ((-1e-60, 0.0, 0.0, 0.0, 1.0), [complex(1e-15, 0.0), complex(-1e-15, 0.0), 1e-15j, -1e-15j]),
             ((1.0, 1e160, 1.0), [complex(-1e-160, 0.0), complex(-1e160, 0.0)]),
+            # exact: mpmath 1.3.0 polyroots at 50 digits, rounded to double
+            (
+                (1.64167775629069e99, 1.4568137151645082e90, 1.55997270297118e77, 7.815274112789742e38, 1.0),
+                [
+                    complex(-9337585833714.014, 0.0),
+                    complex(-1127032157.3472197, 0.0),
+                    complex(-3.907637056394871e38, -5.745430055282432e37),
+                    complex(-3.907637056394871e38, 5.745430055282432e37),
+                ],
+            ),
         ],
-        ids=["z^3-1e-30", "z^2+1e-20", "z^4-1e-60", "z^2+1e160z+1"],
+        ids=["z^3-1e-30", "z^2+1e-20", "z^4-1e-60", "z^2+1e160z+1", "biquadratic-swamped-by-shift"],
     )
     def test_roots_within_relative_1e_6(self, coeffs, exact):
         rs = solve(RealPolynomial(coeffs))
@@ -657,6 +783,12 @@ class TestSolverStructure:
             (
                 (6.194871156298451, -988715.5609389498, 8.649882697890655, 14740.533409395332, 2.7324526537821474e-06),
                 "resolvent",
+                1,
+            ),
+            # a deflated cubic
+            (
+                (0.5539407594834058, -1.5704142504809433, -258123.10133823956, 5.7442120909460046e-05),
+                "omega",
                 1,
             ),
         ],
@@ -952,7 +1084,7 @@ class TestFinishCommonPath:
     # Coefficients, lowest power first, and the value passes the solve makes
     # when no root needs a Newton step or the real-axis snap: one per root,
     # in the one finish against the source polynomial.
-    CASES = [((-5.0, -9.0, -9.0, 1.0), 3), ((8.0, -4.0, 6.0, 1.0, 1.0), 4)]
+    CASES = [((-5.0, -9.0, -9.0, 1.0), 3), ((8.0, -4.0, 6.0, 1.0, 1.0), 4), ((-6.0, 11.0, -6.0, 1.0), 3)]
 
     @pytest.mark.parametrize("coeffs, value_passes", CASES)
     def test_no_polish_call_and_no_public_rootset(self, monkeypatch, coeffs, value_passes):
