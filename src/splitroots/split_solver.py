@@ -501,9 +501,10 @@ def _deflate(
     largest root is divided out constant term first, which damps its error
     (backward deflation), and the quotient is solved in closed form, deflated
     again while its own shift swamps its smallest root.  Each root keeps the
-    tag of the branch that produced it.  The roots are returned as they came
-    when the largest is a cubic's complex pair, when its square is not a
-    normal float, or when a deflated root is not finite.
+    tag of the branch that produced it; a cubic's real root left by its
+    largest pair is ``-c[0]`` over the pair's product, and keeps its own tag.
+    The roots are returned as they came when the largest one's square is not
+    a normal float, or when a deflated root is not finite.
     """
     k = max(range(len(roots)), key=lambda j: abs(roots[j]))
     r = roots[k]
@@ -515,15 +516,17 @@ def _deflate(
         q = [-c[0] / x]
         for ck in c[1:-2]:
             q.append((q[-1] - ck) / x)
-    elif len(c) == 5:
-        m = min((j for j in range(4) if j != k), key=lambda j: abs(roots[j] - r.conjugate()))
+    else:
+        m = min((j for j in range(len(roots)) if j != k), key=lambda j: abs(roots[j] - r.conjugate()))
         kept, kept_tags = [r, r.conjugate()], (tags[k], tags[m])
         u, v = -2.0 * r.real, r.real * r.real + r.imag * r.imag
         q = [c[0] / v]
-        q.append((c[1] - u * q[0]) / v)
-    else:
-        return roots, tags
-    if len(q) == 2:
+        if len(c) == 5:
+            q.append((c[1] - u * q[0]) / v)
+    if len(q) == 1:
+        # A cubic's third root; its index is the one k and m leave.
+        rest, rest_tags = [complex(-q[0], 0.0)], (tags[3 - k - m],)
+    elif len(q) == 2:
         rest, rest_tags = _quadratic_roots(q[1], q[0])
     else:
         rest, rest_tags, s = _shifted_omega_cubic(q[2], q[1], q[0])

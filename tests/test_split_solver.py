@@ -505,13 +505,22 @@ class TestDeflation:
             failed += _fails_check(p, solve(p).roots)
         assert failed <= 3
 
+    def test_cubic_real_root_under_its_largest_pair(self):
+        # Roots -1.99e-9 and -97.9 +- 448.5i: the shift swamps the real
+        # root, which then comes from -c0 over the pair's product and keeps
+        # its tag.  Without that it came out 1e-4 off, relative.  The
+        # reference is mpmath 1.3.0 polyroots at 50 digits.
+        p = RealPolynomial((3.062482943924934e-05, 15409.49999115185, 14.326795113182952, 0.07313346076028897))
+        rs = solve(p)
+        (real,) = [z.real for z in rs.roots if z.imag == 0.0]
+        assert abs(real - -1.9873992963360744e-09) <= 1e-14 * 1.9873992963360744e-09
+        assert sorted(rs.branch_tags) == ["omega-branch-0:+", "omega-branch-1:+", "omega-branch-2:+"]
+
     def test_unusable_largest_root_leaves_the_roots(self):
-        # A largest root whose square is not a normal float, or a cubic's
-        # complex largest pair, is not divided out.
+        # A largest root whose square is not a normal float is not divided
+        # out.
         roots = [complex(1e200, 0.0), 1j, -1j, 0j]
         assert split_solver._deflate((0.0, 1.0, 0.0, 1.0, 1.0), roots, "abcd") == (roots, "abcd")
-        roots = [complex(1e3, 1e3), complex(1e3, -1e3), 1e-6 + 0j]
-        assert split_solver._deflate((1.0, 1.0, 1.0, 1.0), roots, "abc") == (roots, "abc")
 
 
 class TestKnownWrongRoots:
