@@ -175,7 +175,9 @@ def horner_abs(coeffs_rev: tuple[float, ...], z: complex) -> float:
     """``|p(z)|`` from the value recurrence of :func:`horner_with_derivative` alone.
 
     The operations are those of :func:`evaluate` in the same order, so the
-    result equals ``abs(evaluate(p, z))`` exactly.
+    result equals ``abs(evaluate(p, z))`` exactly.  For real coefficients, so
+    does the value at ``z.conjugate()`` (each step conjugates exactly), and at
+    a real ``z = x`` so does ``abs(v)`` of ``v = v*x + c`` if that is finite.
     """
     value = 0j
     for c in coeffs_rev:
@@ -242,7 +244,7 @@ def depress_quartic(p: RealPolynomial) -> DepressedQuartic:
     a = beta - 6.0 * s2
     b = gamma - s * (2.0 * a + 4.0 * s2)
     c = delta - s * (b + s * (a + s2))
-    return DepressedQuartic(a=a, b=b, c=c, shift=s)
+    return DepressedQuartic(a, b, c, s)
 
 
 def reconstruct_quartic(dq: DepressedQuartic) -> RealPolynomial:

@@ -234,24 +234,34 @@ def _polish_root(
 def _finish(
     coeffs_rev: tuple[float, ...], scale: float, roots: Sequence[complex], tags: Sequence[str]
 ) -> RootSet:
-    # Polish the roots whose residual is over the trigger (few are), snap
-    # near-real roots onto the real axis and normalize -0.0 components.  The
-    # roots are complex and the residuals float, so RootSet._trusted builds
-    # the result.
+    # Polish the roots over the trigger (few are), snap near-real roots onto
+    # the real axis, normalize -0.0 components and build the RootSet through
+    # _trusted (complex roots, float residuals).  Each residual is horner_abs's
+    # to the bit (see there): a real root's takes real Horner steps unless it
+    # overflows, and the second of an exactly conjugate pair reuses the first's.
     trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
     out_residuals: list[float] = []
+    px = py = pr = math.nan
     for z in roots:
-        residual = horner_abs(coeffs_rev, z)
+        x, im = z.real, z.imag
+        if im == 0.0:
+            v = 0.0
+            for c in coeffs_rev:
+                v = v * x + c
+            residual = abs(v) if math.isfinite(v) else horner_abs(coeffs_rev, z)
+        else:
+            residual = pr if x == px and im == -py else horner_abs(coeffs_rev, z)
+        px, py, pr = x, im, residual
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
-        im = z.imag
-        if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(z.real)):
-            z = complex(z.real, 0.0)
+            x, im = z.real, z.imag
+        if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(x)):
+            z = complex(x, 0.0)
             residual = horner_abs(coeffs_rev, z)
             im = 0.0
-        if im == 0.0 or z.real == 0.0:
-            z = complex(z.real + 0.0, im + 0.0)
+        if im == 0.0 or x == 0.0:
+            z = complex(x + 0.0, im + 0.0)
         out_roots.append(z)
         out_residuals.append(residual)
     return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
@@ -473,9 +483,15 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> tuple[list[complex], tuple[
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
     # The resolvent's real roots, largest first, are those whose imaginary
     # part is rounding next to the largest root.
-    t_roots = _shifted_omega_cubic(r2, r1, r0)[0]
-    cut = 1e-7 * max(1.0, *map(abs, t_roots))
-    candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
+    t0, t1, t2 = _shifted_omega_cubic(r2, r1, r0)[0]
+    cut = 1e-7 * max(1.0, abs(t0), abs(t1), abs(t2))
+    candidates = [(t0.real, 0)] if abs(t0.imag) <= cut else []
+    if abs(t1.imag) <= cut:
+        candidates.append((t1.real, 1))
+    if abs(t2.imag) <= cut:
+        candidates.append((t2.real, 2))
+    if len(candidates) > 1:
+        candidates.sort(reverse=True)
     # The factors stay nan only when the resolvent's roots overflow.
     best, best_j = (math.inf, math.nan, math.nan, math.nan), 0
     for t, j in candidates:
@@ -487,8 +503,9 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> tuple[list[complex], tuple[
                 if best[0] <= _FACTOR_ULPS * _EPS:
                     break
     _, alpha, beta0, beta1 = best
-    roots = [*_quadratic_roots(-alpha, beta0)[0], *_quadratic_roots(alpha, beta1)[0]]
-    return roots, _RESOLVENT_TAGS[best_j]
+    (z0, z1), _ = _quadratic_roots(-alpha, beta0)
+    (z2, z3), _ = _quadratic_roots(alpha, beta1)
+    return [z0, z1, z2, z3], _RESOLVENT_TAGS[best_j]
 
 
 def _deflate(
@@ -546,7 +563,8 @@ def solve(p: RealPolynomial) -> RootSet:
     as :func:`solve_quadratic` gives them: it already polished and scored
     them against the same coefficients.
     """
-    degree = p.degree
+    coeffs = p.coefficients
+    degree = len(coeffs) - 1
     if degree == 0:
         raise ValueError("a degree-0 polynomial has no roots to solve for")
     if degree >= 5:
@@ -557,7 +575,7 @@ def solve(p: RealPolynomial) -> RootSet:
     elif degree == 2:
         b, a, _ = _monic_coefficients(p)
         inner = solve_quadratic(a, b)
-        if p.coefficients[-1] == 1.0:
+        if coeffs[-1] == 1.0:
             return inner
         # Polished again against p below.  Polishing a non-monic quadratic
         # only once, against p, raised lib-wide degree-2 failures from 137
@@ -570,12 +588,12 @@ def solve(p: RealPolynomial) -> RootSet:
         dep = depress_quartic(p)
         roots, tags = solve_depressed_quartic(dep)
     if degree >= 3:
-        roots = [z - dep.shift for z in roots]
-        small = _DEFLATE_BELOW * abs(dep.shift)
+        shift = dep.shift
+        roots = [z - shift for z in roots]
+        small = _DEFLATE_BELOW * abs(shift)
         # roots[-1] is a quartic's fourth root, or a cubic's third again.
         if abs(roots[0]) < small or abs(roots[1]) < small or abs(roots[2]) < small or abs(roots[-1]) < small:
             roots, tags = _deflate(_monic_coefficients(p), roots, tags)
 
-    coeffs_rev = tuple(reversed(p.coefficients))
-    scale = max(1.0, max(map(abs, p.coefficients)))
-    return _finish(coeffs_rev, scale, roots, tags)
+    scale = max(1.0, max(map(abs, coeffs)))
+    return _finish(coeffs[::-1], scale, roots, tags)

@@ -872,7 +872,10 @@ class TestHornerPasses:
 
     def test_quartic_without_newton_steps_evaluates_each_point_once(self, monkeypatch):
         # One residual per root, against p: the resolvent roots, the
-        # quadratic factors and the depressed roots are never scored.
+        # quadratic factors and the depressed roots are never scored.  The
+        # two real roots take real Horner passes and the conjugate pair's
+        # second root reuses the first one's residual, so one complex pass
+        # is left.
         passes = {"full": 0, "value": 0}
 
         def counting(name, fn):
@@ -886,9 +889,11 @@ class TestHornerPasses:
             split_solver, "horner_with_derivative", counting("full", horner_with_derivative)
         )
         monkeypatch.setattr(split_solver, "horner_abs", counting("value", horner_abs))
-        rs = solve(RealPolynomial((1.0, -3.0, 0.5, 2.0, 1.0)))
+        p = RealPolynomial((1.0, -3.0, 0.5, 2.0, 1.0))
+        rs = solve(p)
         assert rs.branch_tags[0].startswith("resolvent-root")
-        assert passes == {"full": 0, "value": 4}
+        assert passes == {"full": 0, "value": 1}
+        assert rs.residuals == tuple(abs(evaluate(p, z)) for z in rs.roots)
 
     @pytest.mark.parametrize("scale, rejected", [(2.0, 0), (0.0, 1)])
     def test_polish_root_makes_one_full_pass_per_candidate(self, monkeypatch, scale, rejected):
@@ -1090,10 +1095,12 @@ class TestFinishBitIdentity:
 
 
 class TestFinishCommonPath:
-    # Coefficients, lowest power first, and the value passes the solve makes
-    # when no root needs a Newton step or the real-axis snap: one per root,
-    # in the one finish against the source polynomial.
-    CASES = [((-5.0, -9.0, -9.0, 1.0), 3), ((8.0, -4.0, 6.0, 1.0, 1.0), 4), ((-6.0, 11.0, -6.0, 1.0), 3)]
+    # Coefficients, lowest power first, and the complex value passes the
+    # solve makes when no root needs a Newton step or the real-axis snap:
+    # one per conjugate pair, in the one finish against the source
+    # polynomial.  Real roots take real Horner passes, and a pair's second
+    # root reuses the first one's residual.
+    CASES = [((-5.0, -9.0, -9.0, 1.0), 1), ((8.0, -4.0, 6.0, 1.0, 1.0), 2), ((-6.0, 11.0, -6.0, 1.0), 0)]
 
     @pytest.mark.parametrize("coeffs, value_passes", CASES)
     def test_no_polish_call_and_no_public_rootset(self, monkeypatch, coeffs, value_passes):
@@ -1113,9 +1120,164 @@ class TestFinishCommonPath:
         monkeypatch.setattr(split_solver, "_polish_root", counting("polish", split_solver._polish_root))
         monkeypatch.setattr(split_solver, "horner_abs", counting("value", horner_abs))
         monkeypatch.setattr(RootSet, "__init__", forbidden)
-        rs = solve(RealPolynomial(coeffs))
+        p = RealPolynomial(coeffs)
+        rs = solve(p)
         assert passes == {"polish": 0, "value": value_passes}
         assert repr(rs) == repr(expected)
+        assert rs.residuals == tuple(abs(evaluate(p, z)) for z in rs.roots)
+
+
+def _residual_corpus(seed: int, n: int):
+    """``n`` seeded (coeffs_rev, x, y): degree 1-4 coefficients and point
+    parts of magnitude 1e-300..1e300 (or zero), so that many values
+    overflow to inf or nan."""
+    rng = random.Random(seed)
+
+    def part():
+        if rng.randrange(10) == 0:
+            return rng.choice((0.0, -0.0))
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+    cases = []
+    for _ in range(n):
+        degree = rng.randint(1, 4)
+        coeffs_rev = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0),)
+        coeffs_rev += tuple(part() for _ in range(degree))
+        cases.append((coeffs_rev, part(), part()))
+    return cases
+
+
+RESIDUAL_CORPUS = _residual_corpus(20261019, 20000)
+
+
+class TestFinishResidualPaths:
+    # _finish computes a real root's residual by real Horner steps, and a
+    # conjugate pair's second residual not at all; both must equal
+    # horner_abs bit for bit.  An infinite scale keeps the polish out and
+    # the points are off the snap's band, so _finish returns the residuals
+    # as it computed them.
+
+    def test_real_path_matches_horner_abs(self, monkeypatch):
+        fallbacks = [0]
+
+        def counting(coeffs_rev, z):
+            fallbacks[0] += 1
+            return horner_abs(coeffs_rev, z)
+
+        monkeypatch.setattr(split_solver, "horner_abs", counting)
+        non_finite = 0
+        for coeffs_rev, x, _ in RESIDUAL_CORPUS:
+            z = complex(x, 0.0)
+            want = horner_abs(coeffs_rev, z)
+            got = split_solver._finish(coeffs_rev, math.inf, [z], ["t"]).residuals[0]
+            assert repr(got) == repr(want), (coeffs_rev, x)
+            non_finite += not math.isfinite(want)
+        # The fallback runs exactly for the non-finite results, and the
+        # corpus has plenty of them (inf and nan both).
+        assert fallbacks[0] == non_finite >= 1000
+        results = {repr(horner_abs(c, complex(x, 0.0))) for c, x, _ in RESIDUAL_CORPUS}
+        assert {"inf", "nan"} <= results
+
+    def test_conjugate_gives_the_same_residual(self):
+        mismatches = [
+            (coeffs_rev, x, y)
+            for coeffs_rev, x, y in RESIDUAL_CORPUS
+            if repr(horner_abs(coeffs_rev, complex(x, -y))) != repr(horner_abs(coeffs_rev, complex(x, y)))
+        ]
+        assert mismatches == []
+
+    def test_conjugate_pair_reuses_the_first_residual(self, monkeypatch):
+        passes = [0]
+
+        def counting(coeffs_rev, z):
+            passes[0] += 1
+            return horner_abs(coeffs_rev, z)
+
+        monkeypatch.setattr(split_solver, "horner_abs", counting)
+        pairs = 0
+        for coeffs_rev, x, y in RESIDUAL_CORPUS:
+            if abs(y) <= split_solver._IMAG_SNAP * max(1.0, abs(x)):
+                continue
+            z = complex(x, y)
+            got = split_solver._finish(coeffs_rev, math.inf, [z, z.conjugate()], ["t0", "t1"]).residuals
+            want = horner_abs(coeffs_rev, z)
+            assert repr(got) == repr((want, want)), (coeffs_rev, x, y)
+            pairs += 1
+        assert passes[0] == pairs >= 5000
+
+
+# ---------------------------------------------------------------------------
+# reference: the quartic's candidate pick before it was written out
+# ---------------------------------------------------------------------------
+
+
+def _reference_solve_depressed_quartic(dq):
+    # solve_depressed_quartic as it picked its resolvent candidates with
+    # enumerate and sorted, through split_solver's helpers.
+    a, b, c = dq.a, dq.b, dq.c
+    if abs(b) <= 1e-14 * max(1.0, abs(a), abs(b), abs(c)):
+        roots = []
+        for u in split_solver.solve_quadratic(a, c).roots:
+            s = cmath.sqrt(u)
+            roots.extend([s, -s])
+        return roots, ("biquadratic-0:+", "biquadratic-0:-", "biquadratic-1:+", "biquadratic-1:-")
+
+    _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
+    if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
+    t_roots = split_solver._shifted_omega_cubic(r2, r1, r0)[0]
+    cut = 1e-7 * max(1.0, *map(abs, t_roots))
+    candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
+    best, best_j = (math.inf, math.nan, math.nan, math.nan), 0
+    for t, j in candidates:
+        t = split_solver._refine_resolvent_root(r2, r1, r0, t)
+        if t > 0.0:
+            factors = split_solver._quartic_factors(a, b, c, t)
+            if factors[0] < best[0]:
+                best, best_j = factors, j
+                if best[0] <= split_solver._FACTOR_ULPS * split_solver._EPS:
+                    break
+    _, alpha, beta0, beta1 = best
+    roots = [*split_solver._quadratic_roots(-alpha, beta0)[0], *split_solver._quadratic_roots(alpha, beta1)[0]]
+    return roots, split_solver._RESOLVENT_TAGS[best_j]
+
+
+def _quartic_corpus():
+    # FUZZ_CALLS' quartics, depressed, then a seeded wide corpus, then a
+    # quartic whose resolvent has an exact double root: two candidates
+    # with equal real parts, where the sort's tie order picks the tag.
+    quartics = []
+    for fn, args in FUZZ_CALLS:
+        if fn is solve and args[0].degree == 4:
+            try:
+                quartics.append(depress_quartic(args[0]))
+            except ValueError:
+                pass
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        quartics.append(
+            DepressedQuartic(*(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 12.0) for _ in range(3)))
+        )
+    quartics.append(DepressedQuartic(4.0, 1e-8, 4.0))
+    return quartics
+
+
+class TestQuarticCandidatePick:
+    def test_double_resolvent_root_ties(self):
+        _, r2, r1, r0 = quartic_resolvent_coefficients(4.0, 1e-8, 4.0)
+        t0, t1, _ = split_solver._shifted_omega_cubic(r2, r1, r0)[0]
+        assert t0.real == t1.real and abs(t0.imag) <= 1e-7 and abs(t1.imag) <= 1e-7
+
+    def test_matches_the_reference(self):
+        tags = set()
+        for dq in _quartic_corpus():
+            got = _outcome(solve_depressed_quartic, (dq,))
+            assert got == _outcome(_reference_solve_depressed_quartic, (dq,)), dq
+            tags.add(got.split("'")[1] if "'" in got else got)
+        # Every tag family and the overflow error are reached.
+        for family in ("biquadratic-0:+", "resolvent-root-0", "resolvent-root-1", "resolvent-root-2"):
+            assert any(tag.startswith(family) for tag in tags), family
+        assert any(tag.startswith("ValueError") for tag in tags)
 
 
 class TestReturnedRootSets:
