@@ -260,7 +260,6 @@ def test_criterion_6_naive_split_sign_artifact():
             assert abs(printed) <= 1e-8 * scale
             assert abs(direct) <= 1e-8 * scale
 
-    _ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     artifact = {
         "samples": samples,
         "seed": 606,
@@ -278,8 +277,13 @@ def test_criterion_6_naive_split_sign_artifact():
             "form and this record documents the sign relation"
         ),
     }
-    (_ARTIFACT_DIR / "s2_sign_finding.json").write_text(
-        json.dumps(artifact, indent=2) + "\n"
+    # The committed record must still hold; floats round-trip exactly
+    # through JSON, so any moved root shows here instead of in a rewritten
+    # file.
+    path = _ARTIFACT_DIR / "s2_sign_finding.json"
+    assert json.loads(path.read_text()) == artifact, (
+        f"{path.name} no longer matches the finding; if the change is meant, "
+        f"commit these values:\n{json.dumps(artifact, indent=2)}"
     )
 
 
