@@ -242,7 +242,7 @@ def _finish(
     trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
     out_residuals: list[float] = []
-    px = py = pr = math.nan
+    prev_x = prev_im = prev_res = math.nan
     for z in roots:
         x, im = z.real, z.imag
         if im == 0.0:
@@ -251,8 +251,8 @@ def _finish(
                 v = v * x + c
             residual = abs(v) if math.isfinite(v) else horner_abs(coeffs_rev, z)
         else:
-            residual = pr if x == px and im == -py else horner_abs(coeffs_rev, z)
-        px, py, pr = x, im, residual
+            residual = prev_res if x == prev_x and im == -prev_im else horner_abs(coeffs_rev, z)
+        prev_x, prev_im, prev_res = x, im, residual
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
             x, im = z.real, z.imag
