@@ -23,16 +23,15 @@ from .poly_core import RealPolynomial
 # One term: an optional sign, coefficient, '*', variable and '^exponent', with
 # any whitespace around them.  As every part is optional the match never
 # fails; it stops where the term stops, and the parser reports what is missing
-# or wrong.  The empty groups ``c``, ``v`` and ``e`` mark where the
-# coefficient, the variable and the exponent start (or would start), which is
-# where errors are reported; ``e`` takes part exactly when a '^' follows the
-# variable.  ``\s`` and ``\d`` accept exactly the characters ``str.isspace``
-# and ``str.isdecimal`` accept.
+# or wrong.  A missing part would start where the match ends, as every
+# ``\s*`` before it has taken all the whitespace; errors are reported there.
+# ``\s`` and ``\d`` accept exactly the characters ``str.isspace`` and
+# ``str.isdecimal`` accept.
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
-    r"(?P<c>)(?P<coefficient>\d+\.?\d*|\.\d+)?\s*"
+    r"(?P<coefficient>\d+\.?\d*|\.\d+)?\s*"
     r"(?P<star>\*)?\s*"
-    r"(?P<v>)(?:(?P<variable>[A-Za-z])(?:\s*\^\s*(?P<e>)(?P<exponent>\d+)?)?)?"
+    r"(?:(?P<variable>[A-Za-z])(?:\s*(?P<caret>\^)\s*(?P<exponent>\d+)?)?)?"
     r"\s*"
 )
 
@@ -76,7 +75,7 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
     i = 0
     while i < n:
         m = match(text, i)
-        sign, _, digits, star, _, letter, caret, exponent_digits = m.groups()
+        sign, digits, star, letter, caret, exponent_digits = m.groups()
         if sign is None and i:
             # Every term after the first needs a sign; i is past the
             # whitespace that ended the previous term.
@@ -108,24 +107,24 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
                     exponent_digits = _ascii_digits(exponent_digits)
                     if len(exponent_digits) > _MAX_EXPONENT_DIGITS:
                         raise ParseError(
-                            m.start("e"), f"exponent {exponent_digits} is too large", "overflow"
+                            m.start("exponent"), f"exponent {exponent_digits} is too large", "overflow"
                         )
                 power = int(exponent_digits)
                 if power > _MAX_EXPONENT:
-                    raise ParseError(m.start("e"), f"exponent {power} is too large", "overflow")
+                    raise ParseError(m.start("exponent"), f"exponent {power} is too large", "overflow")
             elif caret is not None:
                 raise ParseError(
-                    min(m.start("e"), last), "exponent must be a nonnegative integer", "bad-exponent"
+                    min(m.end(), last), "exponent must be a nonnegative integer", "bad-exponent"
                 )
             else:
                 power = 1
         elif star is not None:
-            raise ParseError(min(m.start("v"), last), "expected a variable after '*'", "unexpected-token")
+            raise ParseError(min(m.end(), last), "expected a variable after '*'", "unexpected-token")
         elif digits is None:
-            if m.start("c") == n:  # only a sign, then whitespace to the end
+            if m.end() == n:  # only a sign, then whitespace to the end
                 raise ParseError(last, "expected a term after the sign", "unexpected-token")
             raise ParseError(
-                min(m.start("v"), last), "expected a coefficient or a variable", "unexpected-token"
+                min(m.end(), last), "expected a coefficient or a variable", "unexpected-token"
             )
         else:
             power = 0
@@ -133,10 +132,12 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
         # 0.0 - c, not -c: a "- 0" term gives 0.0, never -0.0.
         value = 0.0 - coefficient if sign == "-" else coefficient
         if power in powers:
+            # A term without digits adds +-1, which overflows no finite sum.
             value += powers[power]
             if not math.isfinite(value):
                 raise ParseError(
-                    m.start("c"), f"the sum of the power-{power} terms overflows a float", "overflow"
+                    m.start("coefficient"), f"the sum of the power-{power} terms overflows a float",
+                    "overflow",
                 )
         powers[power] = value
         i = m.end()
@@ -161,37 +162,30 @@ def _ascii_digits(digits: str) -> str:
     return digits.lstrip("0") or "0"
 
 
-def _format_coefficient(value: float) -> str:
-    if value.is_integer():
-        return str(int(value))
-    s = repr(value)
-    if "e" in s or "E" in s:
-        # The grammar has no scientific notation; expand exactly.
-        from decimal import Decimal
-
-        s = format(Decimal(s), "f")
-    return s
-
-
 def format_polynomial(p: RealPolynomial, variable: str = "z") -> str:
     """Canonical printer: descending powers, implicit multiplication.
 
     Output always re-parses to exactly the same coefficients.
     """
-    coefficients = p.coefficients
     parts: list[str] = []
-    for k in range(len(coefficients) - 1, -1, -1):
-        c = coefficients[k]
+    k = len(p.coefficients)
+    for c in reversed(p.coefficients):
+        k -= 1
         if c == 0.0:
             continue
+        parts.append(" - " if c < 0.0 else " + ")
         magnitude = abs(c)
-        if k == 0:
-            body = _format_coefficient(magnitude)
+        if magnitude.is_integer():
+            if magnitude != 1.0 or not k:
+                parts.append(str(int(magnitude)))
         else:
-            var = variable if k == 1 else f"{variable}^{k}"
-            body = var if magnitude == 1.0 else f"{_format_coefficient(magnitude)}{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
+            text = repr(magnitude)
+            if "e" in text:  # the grammar has no scientific notation; expand exactly
+                from decimal import Decimal
+
+                text = format(Decimal(text), "f")
+            parts.append(text)
+        if k:
+            parts.append(variable if k == 1 else f"{variable}^{k}")
+    parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

@@ -49,9 +49,9 @@ class _Record:
 
 
 def _require_finite(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    for c in coeffs:
-        if not math.isfinite(c):
-            raise ValueError(f"coefficients must be finite, got {c!r}")
+    if not all(map(math.isfinite, coeffs)):
+        bad = next(c for c in coeffs if not math.isfinite(c))
+        raise ValueError(f"coefficients must be finite, got {bad!r}")
     return coeffs
 
 
@@ -67,7 +67,7 @@ class RealPolynomial(_Record):
     _fields = ("coefficients",)
 
     def __init__(self, coefficients) -> None:
-        coeffs = _require_finite(tuple(float(c) for c in coefficients))
+        coeffs = _require_finite(tuple(map(float, coefficients)))
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:

@@ -8,6 +8,7 @@ per criterion at the end of the run.  Criteria 1-3 share one
 
 import cmath
 import functools
+import io
 import json
 import math
 import pathlib
@@ -360,7 +361,7 @@ def test_criterion_8_depression_round_trip():
     "parser round trips 1000 random polynomials exactly, CLI golden "
     "transcripts match byte-for-byte, and exit codes are {0, 2, 3}",
 )
-def test_criterion_9_parser_and_cli(capsys):
+def test_criterion_9_parser_and_cli(capsys, monkeypatch):
     rng = random.Random(909)
     for _ in range(1000):
         degree = rng.randint(1, 6)
@@ -377,6 +378,8 @@ def test_criterion_9_parser_and_cli(capsys):
 
     for path in sorted(_GOLDEN_DIR.glob("*.json")):
         case = json.loads(path.read_text())
+        if "stdin" in case:  # a batch case, one input per line
+            monkeypatch.setattr("sys.stdin", io.StringIO(case["stdin"]))
         code = main(case["argv"])
         captured = capsys.readouterr()
         assert code == case["exit_code"], path.name

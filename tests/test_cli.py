@@ -2,14 +2,17 @@
 
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import splitroots
+from splitroots import RealPolynomial, RootSet
 from splitroots.cli import OutputRecord, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -17,8 +20,11 @@ GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=lambda p: p.stem)
-def test_golden_transcript(path, capsys):
+def test_golden_transcript(path, capsys, monkeypatch):
+    # A case with a "stdin" string runs in batch mode, one input per line.
     case = json.loads(path.read_text())
+    if "stdin" in case:
+        monkeypatch.setattr("sys.stdin", io.StringIO(case["stdin"]))
     code = main(case["argv"])
     captured = capsys.readouterr()
     assert code == case["exit_code"]
@@ -234,13 +240,13 @@ class TestJsonRecords:
 
 
 class _CountingJson:
-    """Stands in for the json module in splitroots.cli, counting dumps calls."""
+    """Stands in for the json module in splitroots.cli, keeping each dumps call's keywords."""
 
     def __init__(self):
-        self.dumps_calls = 0
+        self.dumps_kwargs = []
 
     def dumps(self, *args, **kwargs):
-        self.dumps_calls += 1
+        self.dumps_kwargs.append(kwargs)
         return json.dumps(*args, **kwargs)
 
 
@@ -268,7 +274,7 @@ class TestJsonEmit:
         if stdin is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code = main(argv)
-        return code, counting_json.dumps_calls, stdout.writes
+        return code, counting_json.dumps_kwargs, stdout.writes
 
     @pytest.mark.parametrize(
         "argv",
@@ -280,8 +286,10 @@ class TestJsonEmit:
         ],
     )
     def test_single_expression(self, monkeypatch, argv):
-        code, dumps_calls, writes = self._run(monkeypatch, argv)
-        assert (code, dumps_calls, len(writes)) == (0, 1, 1)
+        code, dumps_kwargs, writes = self._run(monkeypatch, argv)
+        assert (code, len(writes)) == (0, 1)
+        # A single record is pretty-printed and encoded strictly.
+        assert dumps_kwargs == [{"indent": 2, "allow_nan": False, "check_circular": False}]
         assert writes[0].endswith("}\n")
         json.loads(writes[0])
 
@@ -290,14 +298,122 @@ class TestJsonEmit:
         # The third line's record holds a non-finite number: it is encoded
         # once, refused, and not written.
         lines = ["z^2 - 1", "z^3 - 7z + 6", "z^2 + 1" + "0" * 160 + "z + 1", "z^4 - 3z^3 + 1"]
-        code, dumps_calls, writes = self._run(
+        code, dumps_kwargs, writes = self._run(
             monkeypatch, ["solve", "--json", *flags], "\n".join(lines) + "\n"
         )
-        assert (code, dumps_calls, len(writes)) == (4, 4, 3)
+        assert (code, len(writes)) == (4, 3)
+        # No keyword argument, so json.dumps reuses its cached encoder.
+        assert dumps_kwargs == [{}] * 4
         for text in writes:
             assert text.endswith("}\n") and text.count("\n") == 1
         polynomials = [json.loads(text)["polynomial"] for text in writes]
         assert polynomials == ["z^2 - 1", "z^3 - 7z + 6", "z^4 - 3z^3 + 1"]
+
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_only_in_diagnostics(self, monkeypatch, capsys, distance):
+        # The roots are finite; only the oracle distance is not.
+        from splitroots import cli
+
+        distances = [distance, distance, 0.0]
+        monkeypatch.setattr(cli, "max_pairing_distance", lambda computed, reference: distances.pop(0))
+        error = (
+            "error: the record for z^2 - 1 holds a non-finite number, which JSON cannot represent\n"
+        )
+        assert main(["solve", "--json", "--oracle", "z^2 - 1"]) == 4
+        assert capsys.readouterr() == ("", error)
+        monkeypatch.setattr("sys.stdin", io.StringIO("z^2 - 1\nz^2 - 4\n"))
+        assert main(["solve", "--json", "--oracle"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == error
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["polynomial"] for r in records] == ["z^2 - 4"]
+        assert records[0]["diagnostics"] == {"oracle_max_pairing_distance": 0.0}
+
+
+def _reference_residual_warnings(p, rs, tolerance):
+    """``cli._residual_warnings`` before its early return, kept as the reference."""
+    from splitroots.cli import _fmt_root
+
+    bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
+    degree = p.degree
+    # A non-finite residual (nan compares false) is over any threshold.
+    offenders = [
+        z
+        for z, r in zip(rs.roots, rs.residuals)
+        if not math.isfinite(r) or r > bound * max(1.0, abs(z)) ** degree
+    ]
+    for z in offenders:
+        print(
+            f"warning: root {_fmt_root(z)} exceeds the residual threshold {tolerance}",
+            file=sys.stderr,
+        )
+
+
+def _residual_cases(seed, count):
+    """Seeded (polynomial, roots, tolerance) cases around the tolerance and the thresholds."""
+    rng = random.Random(seed)
+    special = (0.0, float("nan"), float("inf"), float("-inf"))
+    for _ in range(count):
+        degree = rng.randint(1, 4)
+        coefficients = [rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3, 3) for _ in range(degree)]
+        p = RealPolynomial((*coefficients, rng.choice((1.0, -2.5, 1e-3))))
+        tolerance = rng.choice((0.0, 1e-16, 1e-8, float("inf")))
+        bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
+        roots, residuals = [], []
+        for _ in range(degree):
+            size = 10.0 ** rng.uniform(-5, 150 if rng.random() < 0.2 else 3)
+            parts = [rng.choice((1.0, -1.0)) * size, rng.choice((0.0, size, -size))]
+            if rng.random() < 0.05:
+                parts[rng.randrange(2)] = rng.choice(special[1:])
+            z = complex(*parts)
+            threshold = bound * max(1.0, abs(z)) ** degree if abs(z) < 1e60 else bound
+            r = rng.choice(
+                (
+                    tolerance,
+                    math.nextafter(tolerance, math.inf),
+                    bound,
+                    threshold,
+                    math.nextafter(threshold, math.inf),
+                    math.nextafter(bound, 0.0),
+                    bound * 10.0 ** rng.uniform(-3, 3),
+                    rng.choice(special[:3]),
+                )
+            )
+            roots.append(z)
+            residuals.append(abs(r))
+        yield p, RootSet(roots, residuals, ["t"] * degree), tolerance
+
+
+class TestResidualWarnings:
+    """``_residual_warnings`` against the reference copy of it without the early return."""
+
+    def test_matches_the_reference(self, capsys):
+        from splitroots.cli import _residual_warnings
+
+        outcomes = {"warned": 0, "silent": 0, "overflow": 0}
+        for p, rs, tolerance in _residual_cases(20261019, 20_000):
+            try:
+                _reference_residual_warnings(p, rs, tolerance)
+            except OverflowError:
+                # max(1, |z|) ** degree leaves the float range: the reference
+                # raises, and so does the function unless every residual is
+                # finite and within the tolerance, where it returns first.
+                capsys.readouterr()
+                outcomes["overflow"] += 1
+                if all(math.isfinite(r) and r <= tolerance for r in rs.residuals):
+                    _residual_warnings(p, rs, tolerance)
+                    assert capsys.readouterr().err == ""
+                else:
+                    with pytest.raises(OverflowError):
+                        _residual_warnings(p, rs, tolerance)
+                    capsys.readouterr()
+                continue
+            want = capsys.readouterr()
+            _residual_warnings(p, rs, tolerance)
+            assert capsys.readouterr() == want, (p, rs, tolerance)
+            outcomes["warned" if want.err else "silent"] += 1
+        # Both outcomes and the overflow are reached often.
+        assert min(outcomes.values()) >= 500, outcomes
 
 
 class TestTextOutput:

@@ -169,6 +169,23 @@ class TestFormat:
         p = RealPolynomial((1.75, -0.25, 0.5))
         assert format_polynomial(p) == "0.5z^2 - 0.25z + 1.75"
 
+    def test_matches_the_reference_printer(self):
+        # Unit, integer, plain and exponent-repr magnitudes (subnormals
+        # included), zeros of both signs, and any variable letter.
+        rng = random.Random(20261019)
+        pieces = (
+            lambda: rng.choice((1.0, -1.0, 0.0, -0.0)),
+            lambda: float(rng.randint(-10**6, 10**6)),
+            lambda: rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-320, 300),
+            lambda: rng.uniform(-10.0, 10.0),
+        )
+        for _ in range(20_000):
+            coefficients = [rng.choice(pieces)() for _ in range(rng.randint(1, 6))]
+            coefficients.append(rng.choice(pieces[1:])() or 1.0)
+            p = RealPolynomial(coefficients)
+            variable = rng.choice("zzxwAZ")
+            assert format_polynomial(p, variable) == _reference_format(p, variable), p
+
 
 class TestRoundTrip:
     @given(
@@ -224,6 +241,38 @@ class TestRoundTrip:
     def test_math_constants_round_trip(self):
         p = RealPolynomial((math.pi, -math.e, math.sqrt(2.0)))
         assert parse_polynomial(format_polynomial(p)).coefficients == p.coefficients
+
+
+def _reference_format(p, variable):
+    """``format_polynomial`` before its one-loop rewrite, kept as the reference."""
+
+    def format_coefficient(value):
+        if value.is_integer():
+            return str(int(value))
+        s = repr(value)
+        if "e" in s or "E" in s:
+            from decimal import Decimal
+
+            s = format(Decimal(s), "f")
+        return s
+
+    coefficients = p.coefficients
+    parts = []
+    for k in range(len(coefficients) - 1, -1, -1):
+        c = coefficients[k]
+        if c == 0.0:
+            continue
+        magnitude = abs(c)
+        if k == 0:
+            body = format_coefficient(magnitude)
+        else:
+            var = variable if k == 1 else f"{variable}^{k}"
+            body = var if magnitude == 1.0 else f"{format_coefficient(magnitude)}{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
