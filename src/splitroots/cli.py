@@ -145,8 +145,8 @@ class OutputRecord(_MutableRecord):
         self.diagnostics = diagnostics
 
     def to_dict(self) -> dict:
-        rows = [(complex(r.re, r.im), r.residual, r.branch_tag) for r in self.roots]
-        return _record_dict(self.polynomial, self.method, rows, self.diagnostics)
+        roots = [(r.re, r.im, r.residual, r.branch_tag) for r in self.roots]
+        return _record_dict(self.polynomial, self.method, roots, self.diagnostics)
 
     @classmethod
     def from_dict(cls, d: dict) -> OutputRecord:
@@ -158,8 +158,8 @@ class OutputRecord(_MutableRecord):
         )
 
 
-def _record_dict(polynomial: str, method: str, rows, diagnostics: dict | None) -> dict:
-    """The ``--json`` output record; ``rows`` holds ``(root, residual, branch_tag)`` rows.
+def _record_dict(polynomial: str, method: str, roots, diagnostics: dict | None) -> dict:
+    """The ``--json`` output record; ``roots`` holds ``(re, im, residual, branch_tag)`` rows.
 
     The one place the record layout is written down: :meth:`OutputRecord.to_dict`
     and the CLI's own records both come from here.
@@ -168,8 +168,8 @@ def _record_dict(polynomial: str, method: str, rows, diagnostics: dict | None) -
         "polynomial": polynomial,
         "method": method,
         "roots": [
-            {"re": z.real, "im": z.imag, "residual": residual, "branch_tag": tag}
-            for z, residual, tag in rows
+            {"re": re, "im": im, "residual": residual, "branch_tag": tag}
+            for re, im, residual, tag in roots
         ],
     }
     if diagnostics is not None:
@@ -216,8 +216,12 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
     bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
     degree = p.degree
     for z, r in zip(rs.roots, residuals):
+        try:
+            over = r > bound * max(1.0, abs(z)) ** degree
+        except OverflowError:  # |z|^degree past the float range counts as inf, 0 * inf as 0
+            over = not bound and r > 0.0
         # A non-finite residual (nan compares false) is over any threshold.
-        if not math.isfinite(r) or r > bound * max(1.0, abs(z)) ** degree:
+        if over or not math.isfinite(r):
             print(
                 f"warning: root {_fmt_root(z)} exceeds the residual threshold {tolerance}",
                 file=sys.stderr,
@@ -225,18 +229,13 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
 
 
 def _emit_json(record: dict, batch: bool) -> int:
-    # Strict JSON has no NaN or Infinity; a record holding one is not printed.
-    # A batch record takes json's cached encoder (no keyword argument).  No
-    # string in a record can spell NaN or Infinity (the echo holds digits,
-    # '.', '^', '+', '-', spaces and one letter; method, tags and keys are
-    # fixed), and a one-letter search, a memchr, rules most records out.
     try:
-        if batch:
-            text = json.dumps(record)
-            if ("N" in text and "NaN" in text) or ("I" in text and "Infinity" in text):
-                raise ValueError
-        else:  # a fresh tree of dicts and lists: no cycle to check for
-            text = json.dumps(record, indent=2, allow_nan=False, check_circular=False)
+        # Strict JSON has no NaN or Infinity; a record holding one is not
+        # printed.  The record is a tree of fresh dicts and lists, so the
+        # encoder's cycle check has nothing to find.
+        text = json.dumps(
+            record, indent=None if batch else 2, allow_nan=False, check_circular=False
+        )
     except ValueError:
         print(
             f"error: the record for {record['polynomial']} holds a non-finite number, "
@@ -259,7 +258,8 @@ def _report(p, variable, method, rs, rows, head, tail, diagnostics, args, batch)
     """
     echo = format_polynomial(p, variable)
     if args.json:
-        code = _emit_json(_record_dict(echo, method, rows, diagnostics or None), batch)
+        roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
+        code = _emit_json(_record_dict(echo, method, roots, diagnostics or None), batch)
     else:
         lines = [f"polynomial: {echo}", f"method: {method}", *head, "roots:"]
         for z, residual, tag in rows:

