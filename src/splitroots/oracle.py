@@ -1,21 +1,30 @@
 """Independent root finder used to cross-check the closed-form solver.
 
-All roots are iterated simultaneously (Aberth-Ehrlich correction with a
-Durand-Kerner fallback where the derivative vanishes), starting from a
-deterministic ring of initial guesses.  No randomness, no retries: a run
-that fails to converge is reported as such.
+Exact zero roots are split off first: each trailing zero coefficient of the
+monic polynomial is a root at ``0j``.  The other roots are iterated
+simultaneously (Aberth-Ehrlich correction with a Durand-Kerner fallback where
+the derivative vanishes), starting on Bini's Newton-polygon circles: one
+circle per edge of the upper convex hull of ``(k, log|a_k|)``, with as many
+points as the edge is long, at the root modulus the edge predicts.  The
+sweeps are Gauss-Seidel (each root sees the roots already updated in the same
+sweep), and a root freezes once its correction is within ``_TOLERANCE`` of
+its own modulus.  No randomness, no retries: a run that fails to converge is
+reported as such.
 
 Apart from the input type ``RealPolynomial`` and its ``monic()``, the only
 code shared with the closed-form solver is ``poly_core.horner_with_derivative``,
 which the Newton polish calls (the Aberth sweep runs the same recurrence
-inline).  Nothing in ``split_solver`` is called, and the polish here is
-separate from the solver's on purpose: a bug on a path the two shared would
-show up in both results alike, and the cross-check would not see it.
+inline).  Nothing in ``split_solver`` is called, the hull here is written
+apart from any the solver has, and the polish here is separate from the
+solver's on purpose: a bug on a path the two shared would show up in both
+results alike, and the cross-check would not see it.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from functools import lru_cache
 from itertools import permutations
 
 from .poly_core import RealPolynomial, _Record, horner_with_derivative
@@ -23,14 +32,14 @@ from .poly_core import RealPolynomial, _Record, horner_with_derivative
 # Roots closer than this count as one cluster when measuring separation.
 CLUSTER_DISTANCE = 1e-3
 
-# Angular offset of the initial ring; keeps guesses off the real axis where
-# real-coefficient symmetry could stall the iteration.
+# Angular offset of the starting circles; keeps guesses off the real axis
+# where real-coefficient symmetry could stall the iteration.
 _RING_PHASE = 0.4
 
-# The iteration stops after _MAX_ITERATIONS sweeps, or once no step exceeds
-# _TOLERANCE * (1 + max|z|); a root converged when its residual is within
-# _TOLERANCE * scale * max(1, |z|)**n.  A cluster's radius is at least
-# _CLUSTER_RADIUS_FLOOR.
+# The iteration stops after _MAX_ITERATIONS sweeps, or once every root froze:
+# a root freezes when its correction is at most _TOLERANCE * |z|.  A root
+# converged when its residual is within _TOLERANCE * scale * max(1, |z|)**n.
+# A cluster's radius is at least _CLUSTER_RADIUS_FLOOR.
 _MAX_ITERATIONS = 200
 _TOLERANCE = 1e-13
 _CLUSTER_RADIUS_FLOOR = 1e-7
@@ -106,38 +115,62 @@ def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...
     return tuple(radii)
 
 
-def find_roots(p: RealPolynomial) -> OracleResult:
-    """Find all complex roots of ``p`` by simultaneous iteration.
+@lru_cache(maxsize=256)
+def _unit_factors(n: int, i: int, m: int) -> tuple[complex, ...]:
+    """Unit start factors for the ``m`` roots of hull edge ``i -> i + m`` of a degree-``n`` polynomial."""
+    return tuple(
+        cmath.rect(1.0, 2.0 * math.pi * (t / m + i / n) + _RING_PHASE) for t in range(m)
+    )
 
-    Deterministic: the same polynomial always produces bit-identical results.
+
+def _start_points(coeffs: tuple[float, ...]) -> list[complex]:
+    """Bini's Newton-polygon starting points for a monic polynomial with ``coeffs[0] != 0``.
+
+    Each edge ``i -> j`` of the upper convex hull of ``(k, log|a_k|)`` gets
+    ``j - i`` points on the circle of radius ``(|a_i| / |a_j|)^(1/(j - i))``,
+    the root modulus that edge predicts (Bini, Numer. Algorithms 13, 1996, §3).
     """
-    if p.degree < 1:
-        raise ValueError("find_roots requires degree >= 1")
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        y = math.log(abs(c))
+        # Drop the last hull point while it lies on or below the chord to (k, y).
+        while len(hull) >= 2:
+            (i1, y1), (i2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (k - i1) <= (y - y1) * (i2 - i1):
+                hull.pop()
+            else:
+                break
+        hull.append((k, y))
+    n = len(coeffs) - 1
+    z: list[complex] = []
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        m = j - i
+        radius = math.exp((yi - yj) / m)
+        z += [radius * u for u in _unit_factors(n, i, m)]
+    return z
 
-    coeffs = p.monic().coefficients
-    n = p.degree
+
+def _aberth(coeffs: tuple[float, ...]) -> tuple[list[complex], int]:
+    """Aberth-Ehrlich iteration on a monic polynomial of degree >= 2 with ``coeffs[0] != 0``.
+
+    Gauss-Seidel sweeps: each root is updated in place, so the roots after it
+    in the same sweep see its new value.  A root freezes once its correction
+    is within ``_TOLERANCE`` of its own modulus, or once ``p`` vanishes at it;
+    frozen roots still repel the others.  Returns the roots and the number of
+    sweeps until every root froze, or ``_MAX_ITERATIONS``.
+    """
     coeffs_rev = tuple(reversed(coeffs))
-    scale = max(1.0, max(abs(c) for c in coeffs))
-
-    if n == 1:
-        root = complex(-coeffs[0], 0.0)
-        residual = abs(horner_with_derivative(coeffs_rev, root)[0])
-        return OracleResult(
-            roots=(root,),
-            iterations_used=0,
-            converged=residual <= _TOLERANCE * scale,
-            cluster_radii=(0.0,),
-        )
-
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    z = [radius * cmath.exp(1j * (2.0 * cmath.pi * k / n + _RING_PHASE)) for k in range(n)]
-
-    iterations_used = 0
-    for _ in range(_MAX_ITERATIONS):
-        iterations_used += 1
-        new_z = list(z)
-        max_step = 0.0
-        for k, zk in enumerate(z):
+    z = _start_points(coeffs)
+    n = len(z)
+    active = list(range(n))
+    sweeps = 0
+    while active and sweeps < _MAX_ITERATIONS:
+        sweeps += 1
+        still_active = []
+        for k in active:
+            zk = z[k]
             # horner_with_derivative inlined: the same operations in the same order.
             pk = dpk = 0j
             for c in coeffs_rev:
@@ -159,23 +192,48 @@ def find_roots(p: RealPolynomial) -> OracleResult:
             else:
                 # Derivative vanished: fall back to the product correction.
                 prod = complex(1.0, 0.0)
-                for j in range(n):
-                    if j == k:
-                        continue
-                    diff = zk - z[j]
-                    if diff == 0:
-                        diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
-                    prod *= diff
+                for j, zj in enumerate(z):
+                    if j != k:
+                        diff = zk - zj
+                        if diff == 0:
+                            diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
+                        prod *= diff
                 correction = pk / prod
-            new_z[k] = zk - correction
-            step = abs(correction)
-            if step > max_step:
-                max_step = step
-        z = new_z
-        if max_step <= _TOLERANCE * (1.0 + max(map(abs, z))):
-            break
+            z[k] = zk - correction
+            if not abs(correction) <= _TOLERANCE * abs(zk):
+                still_active.append(k)
+        active = still_active
+    return z, sweeps
 
-    z, residuals = zip(*[_polish(coeffs_rev, w) for w in z])
+
+def find_roots(p: RealPolynomial) -> OracleResult:
+    """Find all complex roots of ``p`` by simultaneous iteration.
+
+    Deterministic: the same polynomial always produces bit-identical results.
+    """
+    if p.degree < 1:
+        raise ValueError("find_roots requires degree >= 1")
+
+    coeffs = p.monic().coefficients
+    n = p.degree
+    coeffs_rev = tuple(reversed(coeffs))
+    scale = max(1.0, max(abs(c) for c in coeffs))
+
+    # Each trailing zero coefficient is an exact root at 0; the rest are the
+    # roots of the monic quotient.
+    zeros = 0
+    while coeffs[zeros] == 0.0:
+        zeros += 1
+    quotient = coeffs[zeros:]
+    if len(quotient) == 1:
+        z, iterations_used = [], 0
+    elif len(quotient) == 2:
+        z, iterations_used = [complex(-quotient[0], 0.0)], 0
+    else:
+        z, iterations_used = _aberth(quotient)
+
+    polished = [_polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
+    z, residuals = zip(*polished)
     # Residual floor grows like |z|^n: evaluation rounding alone reaches
     # eps * scale * |z|^n, so the convergence check must scale the same way.
     converged = all(
@@ -268,6 +326,24 @@ def max_pairing_distance(
     reference: list[complex] | tuple[complex, ...],
 ) -> float:
     """Largest matched distance under :func:`pair_roots`; ``nan`` if any distance is."""
+    n = len(computed)
+    if n <= 4 and n == len(reference):
+        # No matching has a maximum below the largest row minimum, and sending
+        # each computed root to its nearest reference root reaches it; when
+        # those nearest roots are distinct, that is the optimal maximum.
+        worst = 0.0
+        nearest = set()
+        for c in computed:
+            row = [abs(c - r) for r in reference]
+            if any(map(math.isnan, row)):
+                break
+            d = min(row)
+            nearest.add(row.index(d))
+            if d > worst:
+                worst = d
+        else:
+            if len(nearest) == n:
+                return worst
     distances = [d for _, _, d in pair_roots(computed, reference)]
     if any(map(cmath.isnan, distances)):
         return cmath.nan

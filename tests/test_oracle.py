@@ -1,5 +1,6 @@
 """Unit tests for the iterative root oracle and root pairing."""
 
+import cmath
 import math
 import random
 from itertools import permutations
@@ -12,6 +13,7 @@ from splitroots.oracle import (
     max_pairing_distance,
     pair_roots,
 )
+from splitroots import solve
 from splitroots.poly_core import RealPolynomial, evaluate, horner_with_derivative
 
 
@@ -109,6 +111,86 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             find_roots(RealPolynomial((5.0,)))
+
+
+def _relative_newton_step(p: RealPolynomial, z: complex) -> float:
+    value, deriv = horner_with_derivative(tuple(reversed(p.monic().coefficients)), z)
+    return abs(value / deriv) / abs(z)
+
+
+class TestStartAndStop:
+    @pytest.mark.parametrize(
+        "coeffs, zeros, others",
+        [
+            # z^4: every root is the split-off zero, nothing is iterated.
+            ((0.0, 0.0, 0.0, 0.0, 1.0), 4, []),
+            # z^3 + z: one zero root, then the quadratic z^2 + 1.
+            ((0.0, 1.0, 0.0, 1.0), 1, [1j, -1j]),
+            # 1e200 z^2 + z + 1e-200: the monic constant term underflows to
+            # 0.0, which leaves a zero root and the linear factor z + 1e-200.
+            ((1e-200, 1.0, 1e200), 1, [-1e-200 + 0j]),
+        ],
+    )
+    def test_exact_zero_roots_are_split_off(self, coeffs, zeros, others):
+        result = find_roots(RealPolynomial(coeffs))
+        assert result.converged
+        assert [z for z in result.roots if z == 0].count(0j) == zeros
+        assert max_pairing_distance([z for z in result.roots if z != 0], others) <= 1e-15
+        # A linear or empty quotient needs no sweep; z^2 + 1 needs a few.
+        assert result.iterations_used <= (0 if len(others) <= 1 else 6)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # lib-wide seeds 208 and 212: the absolute stop rule left both
+            # unconverged, with roots near 1e-4 beside one near -4e9 or -2e10.
+            (-0.003577512138563951, 55.79273846445477, -233604.3541499658, -30178.017353337284, -8.221087931324194e-06),
+            (-2.0894898692133735e-05, -0.06324383867770805, 3.129820637715362e-05, -255561.2639927323, -1.1908623522188647e-05),
+            # roots -1e16 and the three cube roots of -1e-16
+            (1.0, 0.0, 0.0, 1e16, 1.0),
+            # roots +-1e150: the old start ring of radius 1 + 1e300 gave nan
+            (-1e300, 0.0, 1.0),
+        ],
+    )
+    def test_roots_of_very_different_moduli_converge(self, coeffs):
+        p = RealPolynomial(coeffs)
+        result = find_roots(p)
+        assert result.converged
+        assert result.iterations_used <= 8
+        for z in result.roots:
+            assert _relative_newton_step(p, z) <= 1e-15
+
+    def test_small_and_huge_roots_are_accurate(self):
+        result = find_roots(RealPolynomial((1.0, 0.0, 0.0, 1e16, 1.0)))
+        small = 1e-16 ** (1.0 / 3.0)
+        expected = [-small + 0j] + [small * complex(0.5, s * math.sqrt(0.75)) for s in (1, -1)]
+        huge = max(result.roots, key=abs)
+        assert huge == -1e16
+        assert max_pairing_distance([z for z in result.roots if z != huge], expected) <= 1e-15 * small
+        result = find_roots(RealPolynomial((-1e300, 0.0, 1.0)))
+        assert sorted(z.real for z in result.roots) == [-1e150, 1e150]
+        assert all(abs(z.imag) <= 1e-15 * abs(z) for z in result.roots)
+
+    @pytest.mark.parametrize(
+        "coeffs, radius",
+        [
+            ((16.0, 0.0, 0.0, 0.0, 1.0), 2.0),
+            ((8.0, 1.0, 1.0, 1.0), 2.0),  # the middle points lie under the chord
+            ((-3.0, 0.0, 1.0), math.sqrt(3.0)),
+        ],
+    )
+    def test_one_edge_hull_starts_on_one_circle(self, coeffs, radius):
+        # One hull edge 0 -> n: all n points on the circle |a_0|^(1/n).
+        start = oracle._start_points(coeffs)
+        assert len(start) == len(coeffs) - 1
+        assert all(abs(abs(z) - radius) <= 1e-15 * radius for z in start)
+        assert len({round(cmath.phase(z), 12) for z in start}) == len(start)
+
+    def test_each_hull_edge_starts_on_its_own_circle(self):
+        # z^2 + 1e8 z + 1: edges 0 -> 1 and 1 -> 2, radii 1e-8 and 1e8.
+        small, large = oracle._start_points((1.0, 1e8, 1.0))
+        assert abs(abs(small) - 1e-8) <= 1e-22
+        assert abs(abs(large) - 1e8) <= 1e-6
 
 
 def _counting_horner(monkeypatch) -> list[complex]:
@@ -266,3 +348,78 @@ class TestPairing:
         first = pair_roots(computed, reference)
         second = pair_roots(list(computed), list(reference))
         assert first == second
+
+
+def _matched_max(computed, reference) -> float:
+    """The largest distance :func:`pair_roots` matched; ``nan`` if any is."""
+    distances = [d for *_, d in pair_roots(computed, reference)]
+    if any(map(math.isnan, distances)):
+        return math.nan
+    return max(distances, default=0.0)
+
+
+def _counting_pair_roots(monkeypatch) -> list[int]:
+    calls: list[int] = []
+
+    def counting(computed, reference):
+        calls.append(len(computed))
+        return pair_roots(computed, reference)
+
+    monkeypatch.setattr(oracle, "pair_roots", counting)
+    return calls
+
+
+class TestMaxPairingDistanceShortcut:
+    # max_pairing_distance answers n <= 4 from the row minima when the
+    # nearest reference roots are distinct; the value must be the one the
+    # full pairing gives, to the last bit.
+
+    def test_random_sets_ties_and_non_finite_roots(self, monkeypatch):
+        calls = _counting_pair_roots(monkeypatch)
+        rng = random.Random(1717)
+        grid = [complex(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+        special = [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.inf, math.inf), complex(-math.inf, 0.0)]
+        cases = 6000
+        for _ in range(cases):
+            n = rng.randint(1, 5)
+            kind = rng.randrange(4)
+            if kind == 0:  # exact ties on a small grid
+                computed = [rng.choice(grid) for _ in range(n)]
+                reference = [rng.choice(grid) for _ in range(n)]
+            else:
+                computed = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+                reference = [c + complex(rng.gauss(0, 0.1), rng.gauss(0, 0.1)) for c in computed]
+                rng.shuffle(reference)
+            if kind == 1:  # duplicated roots
+                reference[rng.randrange(n)] = reference[0]
+                computed[rng.randrange(n)] = computed[0]
+            if kind == 2:  # a non-finite root on either side
+                side = rng.choice((computed, reference))
+                side[rng.randrange(n)] = rng.choice(special)
+            assert repr(max_pairing_distance(computed, reference)) == repr(_matched_max(computed, reference)), (
+                computed,
+                reference,
+            )
+        # Both the shortcut and the full pairing ran, the full one at every
+        # size from 2 up (a lone root is always its own nearest).
+        assert 1000 < len(calls) < cases
+        assert {2, 3, 4, 5} <= set(calls)
+        assert max_pairing_distance([], []) == 0.0
+
+    @pytest.mark.parametrize("seed", [201, 202, 203])
+    def test_solver_against_oracle_roots(self, seed):
+        checked = 0
+        for degree in (2, 3, 4):
+            uniform = random.Random(f"{seed}-{degree}")
+            wide = random.Random(f"{seed}-wide-{degree}")
+            for _ in range(300):
+                for coeffs in (
+                    tuple(uniform.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,),
+                    tuple(wide.choice((-1.0, 1.0)) * 10.0 ** wide.uniform(-6.0, 6.0) for _ in range(degree + 1)),
+                ):
+                    p = RealPolynomial(coeffs)
+                    roots, reference = solve(p).roots, find_roots(p).roots
+                    for a, b in ((roots, reference), (reference, roots)):
+                        assert repr(max_pairing_distance(a, b)) == repr(_matched_max(a, b)), coeffs
+                        checked += 1
+        assert checked == 3600
