@@ -117,7 +117,7 @@ def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...
 
 @lru_cache(maxsize=256)
 def _unit_factors(n: int, i: int, m: int) -> tuple[complex, ...]:
-    """Unit start factors for the ``m`` roots of hull edge ``i -> i + m`` of a degree-``n`` polynomial."""
+    """Unit start factors of the ``m`` roots of hull edge ``i -> i + m``, degree ``n``."""
     return tuple(
         cmath.rect(1.0, 2.0 * math.pi * (t / m + i / n) + _RING_PHASE) for t in range(m)
     )
@@ -192,12 +192,13 @@ def _aberth(coeffs: tuple[float, ...]) -> tuple[list[complex], int]:
             else:
                 # Derivative vanished: fall back to the product correction.
                 prod = complex(1.0, 0.0)
-                for j, zj in enumerate(z):
-                    if j != k:
-                        diff = zk - zj
-                        if diff == 0:
-                            diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
-                        prod *= diff
+                for j in range(n):
+                    if j == k:
+                        continue
+                    diff = zk - z[j]
+                    if diff == 0:
+                        diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
+                    prod *= diff
                 correction = pk / prod
             z[k] = zk - correction
             if not abs(correction) <= _TOLERANCE * abs(zk):
@@ -225,12 +226,10 @@ def find_roots(p: RealPolynomial) -> OracleResult:
     while coeffs[zeros] == 0.0:
         zeros += 1
     quotient = coeffs[zeros:]
-    if len(quotient) == 1:
-        z, iterations_used = [], 0
-    elif len(quotient) == 2:
-        z, iterations_used = [complex(-quotient[0], 0.0)], 0
-    else:
+    if len(quotient) > 2:
         z, iterations_used = _aberth(quotient)
+    else:  # nothing left, or the linear factor z + quotient[0]
+        z, iterations_used = [complex(-c, 0.0) for c in quotient[:-1]], 0
 
     polished = [_polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
     z, residuals = zip(*polished)

@@ -166,7 +166,8 @@ class TestStartAndStop:
         expected = [-small + 0j] + [small * complex(0.5, s * math.sqrt(0.75)) for s in (1, -1)]
         huge = max(result.roots, key=abs)
         assert huge == -1e16
-        assert max_pairing_distance([z for z in result.roots if z != huge], expected) <= 1e-15 * small
+        rest = [z for z in result.roots if z != huge]
+        assert max_pairing_distance(rest, expected) <= 1e-15 * small
         result = find_roots(RealPolynomial((-1e300, 0.0, 1.0)))
         assert sorted(z.real for z in result.roots) == [-1e150, 1e150]
         assert all(abs(z.imag) <= 1e-15 * abs(z) for z in result.roots)
@@ -378,7 +379,8 @@ class TestMaxPairingDistanceShortcut:
         calls = _counting_pair_roots(monkeypatch)
         rng = random.Random(1717)
         grid = [complex(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-        special = [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.inf, math.inf), complex(-math.inf, 0.0)]
+        nan, inf = math.nan, math.inf
+        special = [complex(nan, 0.0), complex(0.0, inf), complex(inf, inf), complex(-inf, 0.0)]
         cases = 6000
         for _ in range(cases):
             n = rng.randint(1, 5)
@@ -396,10 +398,8 @@ class TestMaxPairingDistanceShortcut:
             if kind == 2:  # a non-finite root on either side
                 side = rng.choice((computed, reference))
                 side[rng.randrange(n)] = rng.choice(special)
-            assert repr(max_pairing_distance(computed, reference)) == repr(_matched_max(computed, reference)), (
-                computed,
-                reference,
-            )
+            got = max_pairing_distance(computed, reference)
+            assert repr(got) == repr(_matched_max(computed, reference)), (computed, reference)
         # Both the shortcut and the full pairing ran, the full one at every
         # size from 2 up (a lone root is always its own nearest).
         assert 1000 < len(calls) < cases
@@ -415,7 +415,10 @@ class TestMaxPairingDistanceShortcut:
             for _ in range(300):
                 for coeffs in (
                     tuple(uniform.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,),
-                    tuple(wide.choice((-1.0, 1.0)) * 10.0 ** wide.uniform(-6.0, 6.0) for _ in range(degree + 1)),
+                    tuple(
+                        wide.choice((-1.0, 1.0)) * 10.0 ** wide.uniform(-6.0, 6.0)
+                        for _ in range(degree + 1)
+                    ),
                 ):
                     p = RealPolynomial(coeffs)
                     roots, reference = solve(p).roots, find_roots(p).roots
