@@ -14,10 +14,10 @@ reported as such.
 Apart from the input type ``RealPolynomial`` and its ``monic()``, the only
 code shared with the closed-form solver is ``poly_core.horner_with_derivative``,
 which the Newton polish calls (the Aberth sweep runs the same recurrence
-inline).  Nothing in ``split_solver`` is called, the hull here is written
-apart from any the solver has, and the polish here is separate from the
-solver's on purpose: a bug on a path the two shared would show up in both
-results alike, and the cross-check would not see it.
+inline).  Nothing in ``split_solver`` is called, the Newton-polygon hull
+here is the oracle's own, and the polish here is separate from the solver's
+on purpose: a bug on a path the two shared would show up in both results
+alike, and the cross-check would not see it.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def find_roots(p: RealPolynomial) -> OracleResult:
     coeffs_rev = tuple(reversed(coeffs))
     scale = max(1.0, max(abs(c) for c in coeffs))
 
-    # Each trailing zero coefficient is an exact root at 0; the rest are the
+    # z^zeros divides p: those roots are exactly 0, and the rest are the
     # roots of the monic quotient.
     zeros = 0
     while coeffs[zeros] == 0.0:
