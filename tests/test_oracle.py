@@ -7,13 +7,12 @@ from itertools import permutations
 
 import pytest
 
-from splitroots import oracle
+from splitroots import oracle, solve
 from splitroots.oracle import (
     find_roots,
     max_pairing_distance,
     pair_roots,
 )
-from splitroots import solve
 from splitroots.poly_core import RealPolynomial, evaluate, horner_with_derivative
 
 
@@ -134,7 +133,7 @@ class TestStartAndStop:
     def test_exact_zero_roots_are_split_off(self, coeffs, zeros, others):
         result = find_roots(RealPolynomial(coeffs))
         assert result.converged
-        assert [z for z in result.roots if z == 0].count(0j) == zeros
+        assert result.roots.count(0j) == zeros
         assert max_pairing_distance([z for z in result.roots if z != 0], others) <= 1e-15
         # A linear or empty quotient needs no sweep; z^2 + 1 needs a few.
         assert result.iterations_used <= (0 if len(others) <= 1 else 6)
@@ -401,7 +400,7 @@ class TestMaxPairingDistanceShortcut:
             got = max_pairing_distance(computed, reference)
             assert repr(got) == repr(_matched_max(computed, reference)), (computed, reference)
         # Both the shortcut and the full pairing ran, the full one at every
-        # size from 2 up (a lone root is always its own nearest).
+        # size from 2 to 5.
         assert 1000 < len(calls) < cases
         assert {2, 3, 4, 5} <= set(calls)
         assert max_pairing_distance([], []) == 0.0
