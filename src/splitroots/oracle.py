@@ -8,8 +8,15 @@ circle per edge of the upper convex hull of ``(k, log|a_k|)``, with as many
 points as the edge is long, at the root modulus the edge predicts.  The
 sweeps are Gauss-Seidel (each root sees the roots already updated in the same
 sweep), and a root freezes once its correction is within ``_TOLERANCE`` of
-its own modulus.  No randomness, no retries: a run that fails to converge is
-reported as such.
+its own modulus.  A root of a multiple zero may keep moving by far more than
+that, so after ``_LATE_SWEEPS`` sweeps a root also freezes once its residual
+passes the convergence test below.  No randomness, no retries: a run that
+fails to converge is reported as such.
+
+A root converged when ``|p(z)| <= _TOLERANCE * scale * max(1, |z|)**n``, with
+``scale`` the largest of 1 and the monic coefficients' moduli; where the
+power leaves the float range it counts as inf, so a finite root that large
+passes with any residual but ``nan``.
 
 Apart from the input type ``RealPolynomial`` and its ``monic()``, the only
 code shared with the closed-form solver is ``poly_core.horner_with_derivative``,
@@ -37,10 +44,12 @@ CLUSTER_DISTANCE = 1e-3
 _RING_PHASE = 0.4
 
 # The iteration stops after _MAX_ITERATIONS sweeps, or once every root froze:
-# a root freezes when its correction is at most _TOLERANCE * |z|.  A root
-# converged when its residual is within _TOLERANCE * scale * max(1, |z|)**n.
+# a root freezes when its correction is at most _TOLERANCE * |z|, and after
+# _LATE_SWEEPS sweeps also when it already passes the convergence test.  A
+# root converged when its residual is within _TOLERANCE * scale * max(1, |z|)**n.
 # A cluster's radius is at least _CLUSTER_RADIUS_FLOOR.
 _MAX_ITERATIONS = 200
+_LATE_SWEEPS = 25
 _TOLERANCE = 1e-13
 _CLUSTER_RADIUS_FLOOR = 1e-7
 
@@ -56,6 +65,19 @@ class OracleResult(_Record):
         d["roots"], d["iterations_used"], d["converged"], d["cluster_radii"] = (
             roots, iterations_used, converged, cluster_radii
         )
+
+
+def _meets_tolerance(residual: float, z: complex, n: int, scale: float) -> bool:
+    """Whether ``residual <= _TOLERANCE * scale * max(1, |z|)**n``.
+
+    A power past the float range counts as inf, so a finite root that large
+    meets the test with any residual but ``nan``.
+    """
+    try:
+        power = max(1.0, abs(z)) ** n
+    except OverflowError:
+        power = math.inf
+    return residual <= _TOLERANCE * scale * power
 
 
 def _polish(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, float]:
@@ -82,26 +104,34 @@ def _polish(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, float]:
     return z, best
 
 
+def _find(parent: list[int], i: int) -> int:
+    """Root of ``i`` in the union-find forest ``parent``, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...]:
     n = len(roots)
+    close = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(roots[i] - roots[j]) < CLUSTER_DISTANCE
+    ]
+    if not close:
+        return (0.0,) * n
+
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < CLUSTER_DISTANCE:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    for i, j in close:
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[rj] = ri
 
     members: dict[int, list[int]] = {}
     for i in range(n):
-        members.setdefault(find(i), []).append(i)
+        members.setdefault(_find(parent, i), []).append(i)
 
     radii = [0.0] * n
     for group in members.values():
@@ -152,22 +182,25 @@ def _start_points(coeffs: tuple[float, ...]) -> list[complex]:
     return z
 
 
-def _aberth(coeffs: tuple[float, ...]) -> tuple[list[complex], int]:
+def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int]:
     """Aberth-Ehrlich iteration on a monic polynomial of degree >= 2 with ``coeffs[0] != 0``.
 
     Gauss-Seidel sweeps: each root is updated in place, so the roots after it
     in the same sweep see its new value.  A root freezes once its correction
     is within ``_TOLERANCE`` of its own modulus, or once ``p`` vanishes at it;
-    frozen roots still repel the others.  Returns the roots and the number of
+    after ``_LATE_SWEEPS`` sweeps it also freezes once ``|p|`` at it meets the
+    convergence test, with ``scale`` the largest of 1 and ``|coeffs|``.
+    Frozen roots still repel the others.  Returns the roots and the number of
     sweeps until every root froze, or ``_MAX_ITERATIONS``.
     """
-    coeffs_rev = tuple(reversed(coeffs))
+    coeffs_rev = coeffs[::-1]
     z = _start_points(coeffs)
     n = len(z)
     active = list(range(n))
     sweeps = 0
     while active and sweeps < _MAX_ITERATIONS:
         sweeps += 1
+        late = sweeps > _LATE_SWEEPS
         still_active = []
         for k in active:
             zk = z[k]
@@ -176,7 +209,7 @@ def _aberth(coeffs: tuple[float, ...]) -> tuple[list[complex], int]:
             for c in coeffs_rev:
                 dpk = dpk * zk + pk
                 pk = pk * zk + c
-            if pk == 0:
+            if pk == 0 or late and _meets_tolerance(abs(pk), zk, n, scale):
                 continue
             repulsion = 0j
             for j, zj in enumerate(z):
@@ -217,8 +250,8 @@ def find_roots(p: RealPolynomial) -> OracleResult:
 
     coeffs = p.monic().coefficients
     n = p.degree
-    coeffs_rev = tuple(reversed(coeffs))
-    scale = max(1.0, max(abs(c) for c in coeffs))
+    # The split-off coefficients are zeros, so the quotient has the same scale.
+    scale = max(1.0, max(map(abs, coeffs)))
 
     # z^zeros divides p: those roots are exactly 0, and the rest are the
     # roots of the monic quotient.
@@ -227,22 +260,26 @@ def find_roots(p: RealPolynomial) -> OracleResult:
         zeros += 1
     quotient = coeffs[zeros:]
     if len(quotient) > 2:
-        z, iterations_used = _aberth(quotient)
+        z, iterations_used = _aberth(quotient, scale)
     else:  # nothing left, or the linear factor z + quotient[0]
         z, iterations_used = [complex(-c, 0.0) for c in quotient[:-1]], 0
 
-    polished = [_polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
-    z, residuals = zip(*polished)
     # Residual floor grows like |z|^n: evaluation rounding alone reaches
-    # eps * scale * |z|^n, so the convergence check must scale the same way.
-    converged = all(
-        r <= _TOLERANCE * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
-    )
+    # eps * scale * |z|^n, so the convergence test scales the same way.  A
+    # zero root has residual 0 and always passes.
+    coeffs_rev = coeffs[::-1]
+    roots = []
+    converged = True
+    for w in z:
+        w, residual = _polish(coeffs_rev, w)
+        roots.append(w)
+        converged = converged and _meets_tolerance(residual, w, n, scale)
+    roots = tuple(roots) + (0j,) * zeros
     return OracleResult(
-        roots=z,
+        roots=roots,
         iterations_used=iterations_used,
         converged=converged,
-        cluster_radii=_cluster_radii(z, _CLUSTER_RADIUS_FLOOR),
+        cluster_radii=_cluster_radii(roots, _CLUSTER_RADIUS_FLOOR),
     )
 
 

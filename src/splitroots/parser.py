@@ -148,8 +148,9 @@ def parse_polynomial_with_variable(text: str) -> tuple[RealPolynomial, str]:
     degree = max(nonzero)
     if degree == 0:
         raise ParseError(0, "constant input has no variable term", "empty-input")
+    # Every value is a finite float, and the last one is nonzero.
     coefficients = tuple([powers.get(k, 0.0) for k in range(degree + 1)])
-    return RealPolynomial(coefficients), variable if variable is not None else "z"
+    return RealPolynomial._trusted(coefficients), variable if variable is not None else "z"
 
 
 def _ascii_digits(digits: str) -> str:

@@ -76,6 +76,18 @@ class RealPolynomial(_Record):
             raise ValueError("the zero polynomial is not representable")
         self.__dict__["coefficients"] = coeffs
 
+    @classmethod
+    def _trusted(cls, coefficients: tuple[float, ...]) -> RealPolynomial:
+        """A RealPolynomial over a tuple of finite floats, stored without checks or copies.
+
+        The caller guarantees a ``float`` tuple of finite values whose last
+        entry is nonzero, so the result equals what the public constructor
+        would build from the same values.
+        """
+        self = object.__new__(cls)
+        self.__dict__["coefficients"] = coefficients
+        return self
+
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
