@@ -159,6 +159,29 @@ class TestExitCodes:
         assert captured.err.startswith("error: the oracle found a non-finite root for z^2 + ")
         assert captured.err.count("\n") == 1
 
+    def test_oracle_root_whose_power_overflows(self, capsys):
+        # The oracle's roots are exactly -1e200 and 0; the convergence test's
+        # (1e200)^2 leaves the float range and counts as inf, not as an
+        # OverflowError traceback.
+        text = f"z^2 + {'1' + '0' * 200}z"
+        assert main(["oracle", "--json", text]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [(r["re"], r["im"]) for r in record["roots"]] == [(0.0, 0.0), (-1e200, 0.0)]
+        assert record["diagnostics"]["converged"] is True
+        assert main(["oracle", text]) == 0
+        captured = capsys.readouterr()
+        assert "converged: true" in captured.out and captured.err == ""
+        # The solver's own second root is -inf (ROADMAP item 2): text mode
+        # warns about it, and no strict JSON record can hold it.
+        assert main(["solve", "--oracle", text]) == 0
+        captured = capsys.readouterr()
+        assert "oracle max pairing distance: inf" in captured.out
+        assert captured.err == "warning: root -inf exceeds the residual threshold 1e-08\n"
+        assert main(["solve", "--oracle", "--json", text]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_finite_oracle_line_reports_4_and_batch_goes_on(self, capsys, monkeypatch):
         big = "1" + "0" * 160
         monkeypatch.setattr("sys.stdin", io.StringIO(f"z^2 + {big}z + 1\nz^2 - 1\n"))

@@ -193,6 +193,217 @@ class TestStartAndStop:
         assert abs(abs(large) - 1e8) <= 1e-6
 
 
+class TestConvergenceTest:
+    # max(1, |z|)**n leaves the float range for these finite roots; the
+    # power counts as inf instead of raising OverflowError.
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            ((0.0, 1e200, 1.0), (-1e200 + 0j, 0j)),
+            ((0.0, 0.0, 1e120, 1.0), (-1e120 + 0j, 0j, 0j)),
+        ],
+    )
+    def test_huge_finite_root_converges(self, coeffs, roots):
+        result = find_roots(RealPolynomial(coeffs))
+        assert result.roots == roots
+        assert result.converged
+        assert result.iterations_used == 0
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_one_failing_root_fails_the_run(self, monkeypatch, failing):
+        # The test stops at the first failing root; whichever root it is,
+        # the run is not converged.
+        calls = []
+
+        def polish(coeffs_rev, z):
+            z, residual = oracle_polish(coeffs_rev, z)
+            calls.append(z)
+            return z, math.nan if len(calls) - 1 == failing else residual
+
+        oracle_polish = oracle._polish
+        monkeypatch.setattr(oracle, "_polish", polish)
+        result = find_roots(RealPolynomial((6.0, -7.0, 0.0, 1.0)))
+        assert len(calls) == 3 and result.roots == tuple(calls)
+        assert not result.converged
+
+    def test_overflowing_power_counts_as_inf(self):
+        assert oracle._meets_tolerance(1e300, -1e200 + 0j, 2, 1.0)
+        assert not oracle._meets_tolerance(math.nan, -1e200 + 0j, 2, 1.0)
+        assert not oracle._meets_tolerance(1.0, 2.0 + 0j, 2, 1.0)
+
+
+class TestLateFreeze:
+    # A root of a multiple zero keeps moving by far more than the relative
+    # stop allows; after _LATE_SWEEPS sweeps it freezes once its residual
+    # passes the convergence test.
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [1.0] * 3,
+            [1.0] * 4,
+            [-1.0] * 4,
+            [2.0] * 3,
+            # The coefficients reach 3003, and the test's scale with them:
+            # measured against scale 1 the triple root would take 42 sweeps.
+            [1.0, 1.0, 1.0, 1000.0],
+        ],
+    )
+    def test_multiple_root_stops_one_sweep_after_the_late_start(self, roots):
+        exact = [complex(r, 0.0) for r in roots]
+        result = find_roots(_poly_from_roots(exact))
+        assert result.converged
+        assert result.iterations_used <= oracle._LATE_SWEEPS + 1
+        assert max_pairing_distance(result.roots, exact) <= oracle.CLUSTER_DISTANCE
+
+    def test_nan_residuals_never_freeze(self):
+        # z^2 + 1e160 z + 1 overflows the iteration to nan roots: their
+        # residuals pass no test, and the run ends after every sweep.
+        result = find_roots(RealPolynomial((1.0, 1e160, 1.0)))
+        assert result.iterations_used == oracle._MAX_ITERATIONS
+        assert not result.converged
+
+
+def _reference_cluster_radii(roots, floor):
+    """The parent's cluster radii: union-find over every close pair, a closure for find."""
+    n = len(roots)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(roots[i] - roots[j]) < oracle.CLUSTER_DISTANCE:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    members = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+
+    radii = [0.0] * n
+    for group in members.values():
+        if len(group) == 1:
+            continue
+        centroid = sum(roots[i] for i in group) / len(group)
+        radius = max(abs(roots[i] - centroid) for i in group)
+        radius = max(radius, floor)
+        for i in group:
+            radii[i] = radius
+    return tuple(radii)
+
+
+def _reference_find_roots(p):
+    """The parent's find_roots: polish every root, then test them all with ``zip``.
+
+    ``_aberth`` runs with scale 0, which turns the late freeze off (no
+    nonzero residual is within 0), so its sweeps are the parent's.
+    """
+    coeffs = p.monic().coefficients
+    n = p.degree
+    coeffs_rev = tuple(reversed(coeffs))
+    scale = max(1.0, max(abs(c) for c in coeffs))
+    zeros = 0
+    while coeffs[zeros] == 0.0:
+        zeros += 1
+    quotient = coeffs[zeros:]
+    if len(quotient) > 2:
+        z, iterations_used = oracle._aberth(quotient, 0.0)
+    else:
+        z, iterations_used = [complex(-c, 0.0) for c in quotient[:-1]], 0
+    polished = [oracle._polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
+    z, residuals = zip(*polished)
+    converged = all(
+        r <= oracle._TOLERANCE * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
+    )
+    return oracle.OracleResult(
+        roots=z,
+        iterations_used=iterations_used,
+        converged=converged,
+        cluster_radii=_reference_cluster_radii(z, oracle._CLUSTER_RADIUS_FLOOR),
+    )
+
+
+def _seeded_oracle_inputs(rng):
+    """Uniform, wide, zero-root, linear-remainder and near-cluster polynomials."""
+    for _ in range(600):
+        degree = rng.randint(1, 6)
+        yield tuple(rng.uniform(-10.0, 10.0) for _ in range(degree)) + (rng.uniform(0.5, 2.0),)
+        yield tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(degree + 1))
+        # Exact zero roots on top of either kind; one nonzero coefficient
+        # below the leading one leaves a linear remainder.
+        zeros = rng.randint(1, 3)
+        yield (0.0,) * zeros + tuple(rng.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,)
+        yield (0.0,) * zeros + (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0), 1.0)
+        # Two or three roots closer than CLUSTER_DISTANCE.
+        center = complex(rng.uniform(-3.0, 3.0), rng.choice((0.0, rng.uniform(0.1, 3.0))))
+        roots = [center, center + rng.uniform(1e-6, 9e-4)]
+        if rng.random() < 0.5:
+            roots.append(center - rng.uniform(1e-6, 9e-4))
+        roots = [complex(z.real, 0.0) for z in roots] if center.imag == 0.0 else (
+            roots + [z.conjugate() for z in roots]
+        )
+        yield _poly_from_roots(roots).coefficients
+
+
+class TestMatchesReferenceOracle:
+    """find_roots and _cluster_radii against the parent's code, repr for repr."""
+
+    def test_seeded_inputs(self):
+        rng = random.Random(1801)
+        compared = late = clustered = zero_roots = 0
+        for coeffs in _seeded_oracle_inputs(rng):
+            p = RealPolynomial(coeffs)
+            try:
+                want = _reference_find_roots(p)
+            except OverflowError:
+                continue
+            got = find_roots(p)
+            if want.iterations_used > oracle._LATE_SWEEPS:
+                # Near-clusters whose roots jitter by more than the relative
+                # stop: the late freeze ends them one sweep later.
+                assert got.iterations_used == oracle._LATE_SWEEPS + 1, coeffs
+                assert got.converged and want.converged, coeffs
+                late += 1
+                continue
+            assert repr(got) == repr(want), coeffs
+            compared += 1
+            clustered += any(want.cluster_radii)
+            zero_roots += 0j in want.roots
+        assert compared + late == 3000
+        assert compared >= 2600 and clustered >= 200 and zero_roots >= 1200
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1.0, 1e160, 1.0),  # nan roots after all 200 sweeps
+            (1e300, 1e300, 1e300, 1.0),
+            (6.0, -7.0, 0.0, 1.0),
+            (1.0, 4.0, 6.0, 4.0, 0.0, 0.0),
+        ],
+    )
+    def test_hand_cases(self, coeffs):
+        p = RealPolynomial(coeffs)
+        assert repr(find_roots(p)) == repr(_reference_find_roots(p))
+
+    def test_cluster_radii_on_random_sets(self):
+        rng = random.Random(1802)
+        # Steps of 5e-4 put some pairs exactly CLUSTER_DISTANCE apart.
+        grid = [complex(x, y) * 5e-4 for x in range(-3, 4) for y in range(-3, 4)]
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            roots = tuple(rng.choice(grid) + rng.choice((0.0, 1.0, 5.0)) for _ in range(n))
+            if rng.random() < 0.1 and roots:
+                roots = roots[:-1] + (complex(math.nan, 0.0),)
+            assert repr(oracle._cluster_radii(roots, 1e-7)) == repr(
+                _reference_cluster_radii(roots, 1e-7)
+            ), roots
+
+
 def _counting_horner(monkeypatch) -> list[complex]:
     """Record every point the oracle evaluates through ``horner_with_derivative``."""
     points: list[complex] = []

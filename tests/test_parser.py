@@ -385,6 +385,15 @@ def _outcome(parse, text):
     return ("ok", tuple(map(float.hex, p.coefficients)), variable)
 
 
+def _parse_and_check(text):
+    # The parser builds its result without RealPolynomial's checks; the
+    # public constructor, checks and trim included, must give the same value.
+    p, variable = parse_polynomial_with_variable(text)
+    checked = RealPolynomial(p.coefficients)
+    assert p == checked and repr(p) == repr(checked), text
+    return p, variable
+
+
 # Pieces the fuzz strings are made of: every token the grammar knows, the
 # whitespace and digit characters beyond ASCII that str.isspace and
 # str.isdecimal accept, characters that look like grammar but are not ('²',
@@ -444,7 +453,7 @@ class TestMatchesReferenceParser:
         for _ in range(200_000):
             text = _fuzz_text(rng)
             want = _outcome(_reference_parse, text)
-            got = _outcome(parse_polynomial_with_variable, text)
+            got = _outcome(_parse_and_check, text)
             assert got == want, text
             seen[want[0]] += 1
             if want[0] == "error":
