@@ -68,11 +68,7 @@ class OracleResult(_Record):
 
 
 def _meets_tolerance(residual: float, z: complex, n: int, scale: float) -> bool:
-    """Whether ``residual <= _TOLERANCE * scale * max(1, |z|)**n``.
-
-    A power past the float range counts as inf, so a finite root that large
-    meets the test with any residual but ``nan``.
-    """
+    """Whether ``residual <= _TOLERANCE * scale * max(1, |z|)**n``; a power past the float range is inf."""
     try:
         power = max(1.0, abs(z)) ** n
     except OverflowError:

@@ -377,16 +377,10 @@ class TestMatchesReferenceOracle:
         assert compared + late == 3000
         assert compared >= 2600 and clustered >= 200 and zero_roots >= 1200
 
-    @pytest.mark.parametrize(
-        "coeffs",
-        [
-            (1.0, 1e160, 1.0),  # nan roots after all 200 sweeps
-            (1e300, 1e300, 1e300, 1.0),
-            (6.0, -7.0, 0.0, 1.0),
-            (1.0, 4.0, 6.0, 4.0, 0.0, 0.0),
-        ],
-    )
-    def test_hand_cases(self, coeffs):
+    @pytest.mark.parametrize("coeffs", [(1.0, 1e160, 1.0), (1e300, 1e300, 1e300, 1.0)])
+    def test_nan_roots_after_every_sweep(self, coeffs):
+        # nan residuals never pass the late freeze, so these run all 200
+        # sweeps on both sides and must still agree.
         p = RealPolynomial(coeffs)
         assert repr(find_roots(p)) == repr(_reference_find_roots(p))
 
