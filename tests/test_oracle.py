@@ -211,7 +211,7 @@ class TestConvergenceTest:
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_one_failing_root_fails_the_run(self, monkeypatch, failing):
-        # The test stops at the first failing root; whichever root it is,
+        # The convergence test stops at the first failing root; whichever it is,
         # the run is not converged.
         calls = []
 
@@ -255,16 +255,9 @@ class TestLateFreeze:
         assert result.iterations_used <= oracle._LATE_SWEEPS + 1
         assert max_pairing_distance(result.roots, exact) <= oracle.CLUSTER_DISTANCE
 
-    def test_nan_residuals_never_freeze(self):
-        # z^2 + 1e160 z + 1 overflows the iteration to nan roots: their
-        # residuals pass no test, and the run ends after every sweep.
-        result = find_roots(RealPolynomial((1.0, 1e160, 1.0)))
-        assert result.iterations_used == oracle._MAX_ITERATIONS
-        assert not result.converged
-
 
 def _reference_cluster_radii(roots, floor):
-    """The parent's cluster radii: union-find over every close pair, a closure for find."""
+    """The earlier cluster radii: union-find over every close pair, a closure for find."""
     n = len(roots)
     parent = list(range(n))
 
@@ -298,10 +291,10 @@ def _reference_cluster_radii(roots, floor):
 
 
 def _reference_find_roots(p):
-    """The parent's find_roots: polish every root, then test them all with ``zip``.
+    """The earlier find_roots: polish every root, then test them all with ``zip``.
 
     ``_aberth`` runs with scale 0, which turns the late freeze off (no
-    nonzero residual is within 0), so its sweeps are the parent's.
+    nonzero residual is within 0), so its sweeps are the earlier ones.
     """
     coeffs = p.monic().coefficients
     n = p.degree
@@ -351,7 +344,7 @@ def _seeded_oracle_inputs(rng):
 
 
 class TestMatchesReferenceOracle:
-    """find_roots and _cluster_radii against the parent's code, repr for repr."""
+    """find_roots and _cluster_radii against their earlier code, repr for repr."""
 
     def test_seeded_inputs(self):
         rng = random.Random(1801)
@@ -379,8 +372,8 @@ class TestMatchesReferenceOracle:
 
     @pytest.mark.parametrize("coeffs", [(1.0, 1e160, 1.0), (1e300, 1e300, 1e300, 1.0)])
     def test_nan_roots_after_every_sweep(self, coeffs):
-        # nan residuals never pass the late freeze, so these run all 200
-        # sweeps on both sides and must still agree.
+        # nan residuals never pass the late freeze's test, so these run all
+        # 200 sweeps on both sides and must still agree.
         p = RealPolynomial(coeffs)
         assert repr(find_roots(p)) == repr(_reference_find_roots(p))
 
