@@ -3,12 +3,12 @@
 Exit codes: 0 success, 1 standard output closed by its reader (the rest of
 the output is dropped without a traceback), 2 parse error (message plus
 caret), 3 unsupported degree, 4 no finite result (the solver gave up on an
-overflowing intermediate, the oracle returned a non-finite root, or a
-``--json`` record would hold a non-finite number; nothing is printed for
-that input).  ``--json`` emits one strict
-JSON output record per input (pretty-printed for a single expression, one
-line per record when reading stdin).  In batch mode an input that fails
-does not stop the lines after it; the first failure's code is returned.
+overflowing intermediate, or the result holds an inf or nan; nothing is
+printed for that input).  Each input's result is one output record;
+``--json`` prints it as strict JSON (pretty-printed for a single expression,
+one line per record when reading stdin) instead of as text, and never
+changes the exit code.  In batch mode an input that fails does not stop the
+lines after it; the first failure's code is returned.
 ``--tolerance`` only changes when a residual warning is printed; it never
 changes solver internals.
 """
@@ -16,7 +16,6 @@ changes solver internals.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -228,63 +227,73 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
             )
 
 
-def _emit_json(record: dict, batch: bool) -> int:
+def _emit(record: dict, text: Callable[[dict], list[str]], args, batch: bool) -> int:
+    """Print ``record`` as JSON under ``--json``, else as the lines ``text(record)``.
+
+    Either way the record is encoded once as strict JSON first.  Strict JSON
+    has no NaN or Infinity, so a record holding one is refused in both modes:
+    nothing is printed for it, and its exit code is 4.
+    """
     try:
-        # Strict JSON has no NaN or Infinity; a record holding one is not
-        # printed.  The record is a tree of fresh dicts and lists, so the
-        # encoder's cycle check has nothing to find.
-        text = json.dumps(
-            record, indent=None if batch else 2, allow_nan=False, check_circular=False
-        )
+        # The record is a tree of fresh dicts and lists, so the encoder's
+        # cycle check has nothing to find.
+        out = json.dumps(record, indent=None if batch else 2, allow_nan=False, check_circular=False)
     except ValueError:
         print(
-            f"error: the record for {record['polynomial']} holds a non-finite number, "
-            "which JSON cannot represent",
+            f"error: the result for {record['polynomial']} holds a non-finite number (inf or nan)",
             file=sys.stderr,
         )
         return _EXIT_NOT_FINITE
+    if not args.json:
+        out = "\n".join(text(record))
     # One write per record: print would write the newline separately, and an
     # unbuffered stdout makes every write a system call.
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(out + "\n")
     return _EXIT_OK
-
-
-def _report(p, variable, method, rs, rows, head, tail, diagnostics, args, batch) -> int:
-    """Print one input's roots (``rows``) as a record or as text, then warn on residuals.
-
-    ``head`` and ``tail`` are the text lines around the roots.  They are read
-    only in text mode, so under ``--json`` a caller passes ``None`` for what
-    it would have to format.
-    """
-    echo = format_polynomial(p, variable)
-    if args.json:
-        roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
-        code = _emit_json(_record_dict(echo, method, roots, diagnostics or None), batch)
-    else:
-        lines = [f"polynomial: {echo}", f"method: {method}", *head, "roots:"]
-        for z, residual, tag in rows:
-            lines.append(f"  {_fmt_root(z)}  (residual {residual:.3e}, branch {tag})")
-        print("\n".join(lines + tail))
-        code = _EXIT_OK
-    if code == _EXIT_OK:
-        _residual_warnings(p, rs, args.tolerance)
-    return code
 
 
 def _fmt_fields(values: dict) -> str:
     return ", ".join([f"{k} = {_fmt_num(v)}" for k, v in values.items()])
 
 
+def _fmt_reduction(reduction: _Reduction, values: list[float]) -> str:
+    return f"{reduction.label}: " + ", ".join(_fmt_num(v) for v in values)
+
+
+def _roots_text(record: dict) -> list[str]:
+    """The text lines of a ``solve`` or ``oracle`` record."""
+    diagnostics = record.get("diagnostics", {})
+    lines = [f"polynomial: {record['polynomial']}", f"method: {record['method']}"]
+    if "converged" in diagnostics:
+        lines.append(f"converged: {'true' if diagnostics['converged'] else 'false'}")
+        lines.append(f"iterations: {diagnostics['iterations_used']}")
+    lines.append("roots:")
+    for r in record["roots"]:
+        root = _fmt_root(complex(r["re"], r["im"]))
+        lines.append(f"  {root}  (residual {r['residual']:.3e}, branch {r['branch_tag']})")
+    if "depressed_coefficients" in diagnostics:
+        lines.append("depressed: " + _fmt_fields(diagnostics["depressed_coefficients"]))
+    resolvent = _DEGREES[4].reduction  # the one reduction solve reports
+    if resolvent.key in diagnostics:
+        lines.append(_fmt_reduction(resolvent, diagnostics[resolvent.key]))
+    if "oracle_max_pairing_distance" in diagnostics:
+        lines.append(f"oracle max pairing distance: {diagnostics['oracle_max_pairing_distance']:.3e}")
+    return lines
+
+
+def _report(p, variable, method, rs, rows, diagnostics, args, batch) -> int:
+    """Emit one input's record, its roots in ``rows`` order, then warn on residuals."""
+    roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
+    record = _record_dict(format_polynomial(p, variable), method, roots, diagnostics or None)
+    code = _emit(record, _roots_text, args, batch)
+    if code == _EXIT_OK:
+        _residual_warnings(p, rs, args.tolerance)
+    return code
+
+
 def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
     sr = system.residual(*coeffs, x, y)
     return {"system": system.name, "real_part": sr.real_part, "imag_part": sr.imag_part}
-
-
-def _add_reduction(reduction: _Reduction, coeffs, lines: list | None, diagnostics: dict) -> None:
-    values = list(reduction.compute(*coeffs))
-    if lines is not None:
-        lines.append(f"{reduction.label}: " + ", ".join(_fmt_num(v) for v in values))
-    diagnostics[reduction.key] = values
 
 
 # The oracle loads on first use, through the package's lazy ``oracle``
@@ -298,16 +307,6 @@ def find_roots(p: RealPolynomial):
 def max_pairing_distance(computed, reference) -> float:
     """:func:`splitroots.oracle.max_pairing_distance`."""
     return splitroots.oracle.max_pairing_distance(computed, reference)
-
-
-def _oracle_not_finite(p: RealPolynomial, variable: str) -> int:
-    # Text mode only: under --json the record holding the non-finite number
-    # is refused by _emit_json.
-    print(
-        f"error: the oracle found a non-finite root for {format_polynomial(p, variable)}",
-        file=sys.stderr,
-    )
-    return _EXIT_NOT_FINITE
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +325,22 @@ def _solve_one(text: str, args, batch: bool) -> int:
         return _EXIT_DEGREE if isinstance(err, UnsupportedDegreeError) else _EXIT_NOT_FINITE
 
     rows = _ordered(rs)
-    tail: list[str] | None = None if args.json else []
     diagnostics: dict = {}
     spec = _DEGREES.get(p.degree) if args.show_depressed else None
     if spec is not None and spec.depress is not None:
         dep = dict(vars(spec.depress(p)))
         *coeffs, shift = dep.values()
-        if tail is not None:
-            tail.append("depressed: " + _fmt_fields(dep))
         if spec.reduction.in_solve:
-            _add_reduction(spec.reduction, coeffs, tail, diagnostics)
+            diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))
         diagnostics["depressed_coefficients"] = dep
         system = spec.systems[-1]
         diagnostics["split_residuals"] = [
             _split_entry(system, coeffs, *system.decompose(z + shift)) for z, _, _ in rows
         ]
     if args.oracle:
-        oracle_roots = find_roots(p).roots
-        if not args.json and not all(map(cmath.isfinite, oracle_roots)):
-            return _oracle_not_finite(p, variable)
-        distance = max_pairing_distance(rs.roots, oracle_roots)
+        distance = max_pairing_distance(rs.roots, find_roots(p).roots)
         diagnostics["oracle_max_pairing_distance"] = distance
-        if tail is not None:
-            tail.append(f"oracle max pairing distance: {distance:.3e}")
-    return _report(p, variable, "split-closed-form", rs, rows, (), tail, diagnostics, args, batch)
+    return _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, batch)
 
 
 def cmd_solve(args) -> int:
@@ -362,23 +353,17 @@ def _oracle_one(text: str, args, batch: bool) -> int:
         return _EXIT_PARSE
 
     result = find_roots(p)
-    if not args.json and not all(map(cmath.isfinite, result.roots)):
-        return _oracle_not_finite(p, variable)
     rs = RootSet(
         roots=result.roots,
         residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
         branch_tags=tuple("oracle" for _ in result.roots),
     )
-    head = None if args.json else [
-        f"converged: {'true' if result.converged else 'false'}",
-        f"iterations: {result.iterations_used}",
-    ]
     diagnostics = {
         "converged": result.converged,
         "iterations_used": result.iterations_used,
         "cluster_radii": list(result.cluster_radii),
     }
-    return _report(p, variable, "oracle", rs, _ordered(rs), head, [], diagnostics, args, batch)
+    return _report(p, variable, "oracle", rs, _ordered(rs), diagnostics, args, batch)
 
 
 def cmd_oracle(args) -> int:
@@ -462,15 +447,14 @@ def cmd_split_system(args) -> int:
             split_residuals.append(entry)
 
     if args.reduce and spec.reduction is not None:
-        _add_reduction(spec.reduction, coeffs, lines, diagnostics)
+        values = diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))
+        lines.append(_fmt_reduction(spec.reduction, values))
 
     if split_residuals:
         diagnostics["split_residuals"] = split_residuals
 
-    if args.json:
-        return _emit_json(_record_dict(echo, "split-closed-form", [], diagnostics or None), batch=False)
-    print("\n".join(lines))
-    return _EXIT_OK
+    record = _record_dict(echo, "split-closed-form", [], diagnostics or None)
+    return _emit(record, lambda _: lines, args, batch=False)
 
 
 def cmd_bench(args) -> int:

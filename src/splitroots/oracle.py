@@ -8,10 +8,11 @@ circle per edge of the upper convex hull of ``(k, log|a_k|)``, with as many
 points as the edge is long, at the root modulus the edge predicts.  The
 sweeps are Gauss-Seidel (each root sees the roots already updated in the same
 sweep), and a root freezes once its correction is within ``_TOLERANCE`` of
-its own modulus.  A root of a multiple zero may keep moving by far more than
-that, so after ``_LATE_SWEEPS`` sweeps a root also freezes once its residual
-passes the convergence test below.  No randomness, no retries: a run that
-fails to converge is reported as such.
+its own modulus, or is ``nan`` (nothing moves a ``nan`` root).  A root of a
+multiple zero may keep moving by far more than that, so after
+``_LATE_SWEEPS`` sweeps a root also freezes once its residual passes the
+convergence test below.  No randomness, no retries: a run that fails to
+converge is reported as such.
 
 A root converged when ``|p(z)| <= _TOLERANCE * scale * max(1, |z|)**n``, with
 ``scale`` the largest of 1 and the monic coefficients' moduli; where the
@@ -44,9 +45,10 @@ CLUSTER_DISTANCE = 1e-3
 _RING_PHASE = 0.4
 
 # The iteration stops after _MAX_ITERATIONS sweeps, or once every root froze:
-# a root freezes when its correction is at most _TOLERANCE * |z|, and after
-# _LATE_SWEEPS sweeps also when it already passes the convergence test.  A
-# root converged when its residual is within _TOLERANCE * scale * max(1, |z|)**n.
+# a root freezes when its correction is not over _TOLERANCE * |z| (a nan
+# correction included), and after _LATE_SWEEPS sweeps also when it already
+# passes the convergence test.  A root converged when its residual is within
+# _TOLERANCE * scale * max(1, |z|)**n.
 # A cluster's radius is at least _CLUSTER_RADIUS_FLOOR.
 _MAX_ITERATIONS = 200
 _LATE_SWEEPS = 25
@@ -183,9 +185,10 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
 
     Gauss-Seidel sweeps: each root is updated in place, so the roots after it
     in the same sweep see its new value.  A root freezes once its correction
-    is within ``_TOLERANCE`` of its own modulus, or once ``p`` vanishes at it;
-    after ``_LATE_SWEEPS`` sweeps it also freezes once ``|p|`` at it meets the
-    convergence test, with ``scale`` the largest of 1 and ``|coeffs|``.
+    is within ``_TOLERANCE`` of its own modulus or is ``nan``, or once ``p``
+    vanishes at it; after ``_LATE_SWEEPS`` sweeps it also freezes once ``|p|``
+    at it meets the convergence test, with ``scale`` the largest of 1 and
+    ``|coeffs|``.
     Frozen roots still repel the others.  Returns the roots and the number of
     sweeps until every root froze, or ``_MAX_ITERATIONS``.
     """
@@ -230,7 +233,7 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
                     prod *= diff
                 correction = pk / prod
             z[k] = zk - correction
-            if not abs(correction) <= _TOLERANCE * abs(zk):
+            if abs(correction) > _TOLERANCE * abs(zk):
                 still_active.append(k)
         active = still_active
     return z, sweeps

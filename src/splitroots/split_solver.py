@@ -78,8 +78,8 @@ ONE_MINUS_OMEGA = 1.0 - OMEGA
 _HALF_SQRT3 = OMEGA.imag
 _THIRD_PI = math.pi / 3.0
 
-# A root with |im| <= _IMAG_SNAP * max(1, |re|) is snapped onto the real axis
-# (in _finish).
+# A root with |im| <= _IMAG_SNAP * |re| is snapped onto the real axis (in
+# _finish) and counts as real when _deflate divides it out.
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
@@ -256,7 +256,7 @@ def _finish(
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
             x, im = z.real, z.imag
-        if im != 0.0 and abs(im) <= _IMAG_SNAP * max(1.0, abs(x)):
+        if im != 0.0 and abs(im) <= _IMAG_SNAP * abs(x):
             z = complex(x, 0.0)
             residual = horner_abs(coeffs_rev, z)
             im = 0.0
@@ -279,10 +279,11 @@ def _real_cbrt(v: float) -> float:
 def _quadratic_roots(a: float, b: float) -> tuple[tuple[complex, complex], tuple[str, str]]:
     # Roots of z**2 + a*z + b, the x + s (or x + i*y) branch first, and tags.
     # A real pair's cancellation-prone root comes from b = r_plus * r_minus.
+    # When x*x - b overflows, sqrt(x*x - b) is taken as |x| * sqrt(1 - b/x^2).
     x = -0.5 * a
     disc = x * x - b
     if disc >= 0.0:
-        s = math.sqrt(disc)
+        s = math.sqrt(disc) if disc != math.inf else abs(x) * math.sqrt(1.0 - b / x / x)
         if x >= 0.0:
             r_plus = x + s
             r_minus = b / r_plus if r_plus != 0.0 else x - s

@@ -19,6 +19,12 @@ from splitroots.cli import OutputRecord, main
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
 
+# z^3 + 1e300 z^2 + 1e300 z + 1e300 in plain decimals: the solver's and the
+# oracle's roots both come out nan (ROADMAP item 2b).
+CUBIC_1E300 = "z^3 + {0}z^2 + {0}z + {0}".format("1" + "0" * 300)
+# z^2 + 1e160 z + 1: the solver's roots are finite, the oracle's nan.
+WIDE_QUADRATIC = f"z^2 + 1{'0' * 160}z + 1"
+
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=lambda p: p.stem)
 def test_golden_transcript(path, capsys, monkeypatch):
@@ -41,8 +47,9 @@ class TestExitCodes:
     def test_success(self, capsys):
         assert main(["solve", "z^2 - 1"]) == 0
 
-    def test_parse_error_is_2(self, capsys):
-        assert main(["solve", "2 & 3"]) == 2
+    @pytest.mark.parametrize("command", ["solve", "oracle", "split-system"])
+    def test_parse_error_is_2(self, command, capsys):
+        assert main([command, "2 & 3"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "(column 2)" in err
@@ -99,14 +106,14 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
 
     def test_non_finite_json_record_is_4(self, capsys):
-        # The roots are 0 and -inf, the latter with residual nan: text mode
-        # prints them, but no strict JSON record can hold them.
-        big = "1" + "0" * 160
-        assert main(["solve", "--json", f"z^2 + {big}z + 1"]) == 4
+        # The solver's roots of this cubic are nan (ROADMAP item 2b): no
+        # strict JSON record can hold them.
+        assert main(["solve", "--json", CUBIC_1E300]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the record for z^2 + ")
-        assert "non-finite" in captured.err
+        assert captured.err.startswith("error: the result for z^3 + ")
+        assert captured.err.endswith(" holds a non-finite number (inf or nan)\n")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -150,13 +157,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [["oracle"], ["solve", "--oracle"]])
     def test_non_finite_oracle_root_is_4_in_text_mode(self, command, capsys):
-        # The oracle's iteration overflows on this input and returns nan
-        # roots; text mode refuses them as --json does.
-        big = "1" + "0" * 160
-        assert main([*command, f"z^2 + {big}z + 1"]) == 4
+        # The solver's roots are finite, but the oracle's iteration overflows
+        # on this input and returns nan roots; text mode refuses them as
+        # --json does.
+        assert main([*command, WIDE_QUADRATIC]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the oracle found a non-finite root for z^2 + ")
+        assert captured.err.startswith("error: the result for z^2 + ")
+        assert captured.err.endswith(" holds a non-finite number (inf or nan)\n")
         assert captured.err.count("\n") == 1
 
     def test_oracle_root_whose_power_overflows(self, capsys):
@@ -171,24 +179,58 @@ class TestExitCodes:
         assert main(["oracle", text]) == 0
         captured = capsys.readouterr()
         assert "converged: true" in captured.out and captured.err == ""
-        # The solver's own second root is -inf (ROADMAP item 2): text mode
-        # warns about it, and no strict JSON record can hold it.
+        # The solver's roots are the same two, and the two sets pair exactly.
         assert main(["solve", "--oracle", text]) == 0
         captured = capsys.readouterr()
-        assert "oracle max pairing distance: inf" in captured.out
-        assert captured.err == "warning: root -inf exceeds the residual threshold 1e-08\n"
-        assert main(["solve", "--oracle", "--json", text]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == "" and "non-finite" in captured.err
-        assert "Traceback" not in captured.err
+        assert "oracle max pairing distance: 0.000e+00" in captured.out
+        assert captured.err == ""
+        assert main(["solve", "--oracle", "--json", text]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [(r["re"], r["im"]) for r in record["roots"]] == [(0.0, 0.0), (-1e200, 0.0)]
+        assert record["diagnostics"]["oracle_max_pairing_distance"] == 0.0
 
     def test_non_finite_oracle_line_reports_4_and_batch_goes_on(self, capsys, monkeypatch):
-        big = "1" + "0" * 160
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"z^2 + {big}z + 1\nz^2 - 1\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{WIDE_QUADRATIC}\nz^2 - 1\n"))
         assert main(["oracle"]) == 4
         captured = capsys.readouterr()
         assert captured.out.startswith("polynomial: z^2 - 1\nmethod: oracle\n")
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", WIDE_QUADRATIC], 0),
+            (["solve", "--oracle", WIDE_QUADRATIC], 4),  # the oracle's roots are nan
+            (["oracle", WIDE_QUADRATIC], 4),
+            (["solve", CUBIC_1E300], 4),
+            (["solve", "--oracle", CUBIC_1E300], 4),
+            (["oracle", CUBIC_1E300], 4),
+            (["solve", f"z^4 + 1{'0' * 155}z^3 + 1"], 4),  # the resolvent overflows
+            (["solve", "--oracle", f"z^4 + 1{'0' * 155}z^3 + 1"], 4),
+            (["oracle", f"z^4 + 1{'0' * 155}z^3 + 1"], 4),
+            (["solve", f"z^2 + 1{'0' * 200}z"], 0),
+            (["solve", "--oracle", f"z^2 + 1{'0' * 200}z"], 0),
+            (["oracle", f"z^2 + 1{'0' * 200}z"], 0),
+            (["split-system", "z^2 + z + 1", "--x=1e200", "--y=0"], 4),  # x^2 overflows
+        ],
+        ids=[
+            f"{command}-{name}"
+            for name in ("quadratic-1e160", "cubic-1e300", "quartic-1e155", "quadratic-1e200")
+            for command in ("solve", "solve-oracle", "oracle")
+        ]
+        + ["split-system-x-1e200"],
+    )
+    def test_json_never_changes_the_exit_code(self, argv, code, capsys):
+        # A refused result prints nothing on stdout and one error line.
+        for mode in ([], ["--json"]):
+            assert main([*argv, *mode]) == code, mode
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            if code == 4:
+                assert captured.out == "" and captured.err.count("\n") == 1, mode
+                assert captured.err.startswith("error: "), mode
+            else:
+                assert captured.out != "" and captured.err == "", mode
 
     def test_option_limits_are_inclusive(self, capsys):
         assert main(["bench", "--n", "1", "--degree", "2"]) == 0
@@ -319,7 +361,7 @@ class TestJsonEmit:
     def test_batch(self, monkeypatch, flags):
         # The third line's record holds a non-finite number: it is encoded
         # once, refused, and not written.
-        lines = ["z^2 - 1", "z^3 - 7z + 6", "z^2 + 1" + "0" * 160 + "z + 1", "z^4 - 3z^3 + 1"]
+        lines = ["z^2 - 1", "z^3 - 7z + 6", CUBIC_1E300, "z^4 - 3z^3 + 1"]
         code, dumps_calls, writes = self._run(
             monkeypatch, ["solve", "--json", *flags], "\n".join(lines) + "\n"
         )
@@ -336,9 +378,7 @@ class TestJsonEmit:
 
         distances = [distance, distance, 0.0]
         monkeypatch.setattr(cli, "max_pairing_distance", lambda computed, reference: distances.pop(0))
-        error = (
-            "error: the record for z^2 - 1 holds a non-finite number, which JSON cannot represent\n"
-        )
+        error = "error: the result for z^2 - 1 holds a non-finite number (inf or nan)\n"
         assert main(["solve", "--json", "--oracle", "z^2 - 1"]) == 4
         assert capsys.readouterr() == ("", error)
         monkeypatch.setattr("sys.stdin", io.StringIO("z^2 - 1\nz^2 - 4\n"))
@@ -518,16 +558,15 @@ class TestTextOutput:
         # warnings must not contaminate stdout
         assert "warning:" not in captured.out
 
-    def test_non_finite_residual_warns(self, capsys):
-        # The linear coefficient 1e160 overflows its square: the roots come
-        # out as 0 and -inf, and the -inf root's residual is nan, which
-        # compares false against any bound.
-        big = "1" + "0" * 160
-        code = main(["solve", f"z^2 + {big}z + 1"])
+    def test_overflowing_discriminant_gives_finite_roots(self, capsys):
+        # The linear coefficient 1e160 overflows its square; the roots still
+        # come out as -1e-160 and -1e160, with no residual warning.
+        assert main(["solve", WIDE_QUADRATIC]) == 0
         captured = capsys.readouterr()
-        assert code == 0
-        assert "-inf  (residual nan" in captured.out
-        assert captured.err == "warning: root -inf exceeds the residual threshold 1e-08\n"
+        roots = captured.out.split("roots:\n")[1].splitlines()
+        assert roots[0] == "  -1e-160  (residual 0.000e+00, branch trivial-imaginary-branch:+)"
+        assert roots[1].startswith(f"  -{int(1e160)}  (residual 1.000e+00, ")
+        assert captured.err == ""
 
     def test_bench_text_table(self, capsys):
         assert main(["bench", "--n", "3", "--degree", "2"]) == 0
@@ -577,8 +616,8 @@ class TestBatchMode:
         def reject(constant):
             raise AssertionError(f"non-standard JSON constant {constant}")
 
-        big = "1" + "0" * 160
-        lines = ["z^2 - 1", f"z^2 + {big}z + 1", f"z^4 + {big}z^3 + 1", "z^3 - 7z + 6"]
+        big = "1" + "0" * 155
+        lines = ["z^2 - 1", CUBIC_1E300, f"z^4 + {big}z^3 + 1", "z^3 - 7z + 6"]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         code = main(["solve", "--json"])
         captured = capsys.readouterr()
@@ -662,6 +701,13 @@ class TestLazyNames:
 
     Each check runs in a fresh interpreter that has not loaded either yet.
     """
+
+    def test_dir_lists_the_lazy_names(self):
+        # The one check run in this process, where some lazy names may have
+        # been loaded already.
+        names = dir(splitroots)
+        assert names == sorted(set(names))
+        assert set(splitroots._LAZY) | set(splitroots.__all__) <= set(names)
 
     @pytest.mark.parametrize(
         "check",

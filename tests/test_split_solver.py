@@ -523,16 +523,16 @@ class TestDeflation:
         assert split_solver._deflate((0.0, 1.0, 0.0, 1.0, 1.0), roots, "abcd") == (roots, "abcd")
 
 
-class TestKnownWrongRoots:
-    # Wrong roots that every other check passes, left for ROADMAP item 2
-    # (a relative snap, power-of-two scaling and the reversed polynomial).
-    # The tiny roots are lost to the real-axis snap's absolute floor; the
-    # wide quadratic and the cubic overflow.  The biquadratic-path quartic
-    # loses two roots to its depression shift, and the deflation trigger
-    # misses them because the branch roots ignore the depressed odd term.
-    # strict=True: once item 2 makes one pass, its marker must come off.
+class TestScaleExtremes:
+    # Roots far from 1 in modulus.  The tiny roots need the real-axis snap
+    # to be relative, and the wide quadratic needs its discriminant taken
+    # without squaring 1e160.  Two inputs still give wrong roots, left for
+    # ROADMAP item 2b: the cubic near 1e300 overflows, and the
+    # biquadratic-path quartic loses two roots to its depression shift,
+    # which the deflation trigger misses because the branch roots ignore the
+    # depressed odd term.  strict=True: once one passes, its marker must
+    # come off.
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: scale-invariant solve")
     @pytest.mark.parametrize(
         "coeffs, exact",
         [
@@ -544,7 +544,7 @@ class TestKnownWrongRoots:
             ((-1e-60, 0.0, 0.0, 0.0, 1.0), [complex(1e-15, 0.0), complex(-1e-15, 0.0), 1e-15j, -1e-15j]),
             ((1.0, 1e160, 1.0), [complex(-1e-160, 0.0), complex(-1e160, 0.0)]),
             # exact: mpmath 1.3.0 polyroots at 50 digits, rounded to double
-            (
+            pytest.param(
                 (1.64167775629069e99, 1.4568137151645082e90, 1.55997270297118e77, 7.815274112789742e38, 1.0),
                 [
                     complex(-9337585833714.014, 0.0),
@@ -552,6 +552,7 @@ class TestKnownWrongRoots:
                     complex(-3.907637056394871e38, -5.745430055282432e37),
                     complex(-3.907637056394871e38, 5.745430055282432e37),
                 ],
+                marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2b: scale-invariant solve"),
             ),
         ],
         ids=["z^3-1e-30", "z^2+1e-20", "z^4-1e-60", "z^2+1e160z+1", "biquadratic-swamped-by-shift"],
@@ -561,7 +562,7 @@ class TestKnownWrongRoots:
         for _, j, distance in pair_roots(rs.roots, exact):
             assert distance <= 1e-6 * abs(exact[j])
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: scale-invariant solve")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2b: scale-invariant solve")
     def test_cubic_near_1e300_has_finite_roots(self):
         rs = solve(RealPolynomial((1e300, 1e300, 1e300, 1.0)))
         assert all(map(cmath.isfinite, rs.roots))
@@ -970,7 +971,7 @@ def _reference_polish_root(coeffs_rev, z, scale):
                 break
             if residual <= split_solver._POLISH_TRIGGER * scale:
                 break
-    if z.imag != 0.0 and abs(z.imag) <= split_solver._IMAG_SNAP * max(1.0, abs(z.real)):
+    if z.imag != 0.0 and abs(z.imag) <= split_solver._IMAG_SNAP * abs(z.real):
         z = complex(z.real, 0.0)
         residual = split_solver.horner_abs(coeffs_rev, z)
     if z.imag == 0.0 or z.real == 0.0:
@@ -1078,7 +1079,8 @@ class TestFinishBitIdentity:
             # snap-eligible roots, with and without a Newton step first
             ((1.0, 0.0, -1.0), 1.0, [complex(1.0, 1e-10), complex(-1.0 - 1e-9, -3e-9)]),
             ((1.0, 0.0, -1.0), 1.0, [complex(1e6, 1e-3), complex(1.0, 2e-8)]),
-            # -0.0 real part, -0.0 imaginary part, both, and a -0.0 snap result
+            # -0.0 real part, -0.0 imaginary part, both, and a root on the
+            # imaginary axis that the relative snap leaves alone
             ((1.0, 0.0, 1.0), 1.0, [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
             ((1.0, 0.0, -1.0), 1.0, [complex(1.0, -0.0), complex(-1.0, -0.0)]),
             ((1.0, 0.0, 0.0), 1.0, [complex(-0.0, -0.0), complex(-0.0, 1e-12)]),
