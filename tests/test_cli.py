@@ -47,8 +47,8 @@ class TestExitCodes:
     def test_success(self, capsys):
         assert main(["solve", "z^2 - 1"]) == 0
 
-    @pytest.mark.parametrize("command", ["solve", "oracle", "split-system"])
-    def test_parse_error_is_2(self, command, capsys):
+    @staticmethod
+    def _assert_parse_error(command, capsys):
         assert main([command, "2 & 3"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -57,6 +57,13 @@ class TestExitCodes:
         lines = err.splitlines()
         assert lines[1] == "  2 & 3"
         assert lines[2] == "    ^"
+
+    def test_parse_error_is_2(self, capsys):
+        self._assert_parse_error("solve", capsys)
+
+    @pytest.mark.parametrize("command", ["oracle", "split-system"])
+    def test_parse_error_is_2_in_other_commands(self, command, capsys):
+        self._assert_parse_error(command, capsys)
 
     def test_overflowing_term_sum_is_2(self, capsys):
         nines = "9" * 308
@@ -567,6 +574,20 @@ class TestTextOutput:
         assert roots[0] == "  -1e-160  (residual 0.000e+00, branch trivial-imaginary-branch:+)"
         assert roots[1].startswith(f"  -{int(1e160)}  (residual 1.000e+00, ")
         assert captured.err == ""
+
+    def test_non_finite_residual_warns(self, capsys):
+        # A nan residual compares false against any bound, yet still warns.
+        # The CLI refuses a result holding one (exit 4) before it warns, so
+        # the rule is called directly, on the roots 0 and -inf that an earlier
+        # solver gave for z^2 + 1e160 z + 1.
+        from splitroots.cli import _residual_warnings
+
+        p = RealPolynomial((1.0, 1e160, 1.0))
+        rs = RootSet([0j, complex(-math.inf, 0.0)], [1.0, math.nan], ["t", "t"])
+        _residual_warnings(p, rs, 1e-8)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "warning: root -inf exceeds the residual threshold 1e-08\n"
 
     def test_bench_text_table(self, capsys):
         assert main(["bench", "--n", "3", "--degree", "2"]) == 0

@@ -371,12 +371,12 @@ class TestMatchesReferenceOracle:
         assert compared >= 2600 and clustered >= 200 and zero_roots >= 1200
 
     @pytest.mark.parametrize("coeffs", [(1.0, 1e160, 1.0), (1e300, 1e300, 1e300, 1.0)])
-    def test_nan_roots_freeze(self, coeffs):
+    def test_nan_roots_after_every_sweep(self, coeffs):
         # The largest root's value overflows in the first sweep and turns
         # nan; in the second the other roots meet it in their repulsion term
         # and turn nan too.  A nan correction freezes its root, so the
         # iteration stops there, where the earlier stop rule swept the nan
-        # roots 200 times.  The reference runs the live _aberth, so only the
+        # roots all 200 times.  The reference runs the live _aberth, so only the
         # sweep count tells the two rules apart.
         p = RealPolynomial(coeffs)
         got = find_roots(p)
