@@ -282,10 +282,6 @@ def find_roots(p: RealPolynomial) -> OracleResult:
     )
 
 
-def _tie_key(reference, perm: tuple[int, ...]) -> tuple[tuple[float, float], ...]:
-    return tuple((reference[j].real, reference[j].imag) for j in perm)
-
-
 def pair_roots(
     computed: list[complex] | tuple[complex, ...],
     reference: list[complex] | tuple[complex, ...],
@@ -308,34 +304,15 @@ def pair_roots(
     if n <= 4:
         # dists[i][j]: computed root i to reference root j, each computed once.
         dists = [[abs(c - r) for r in reference] for c in computed]
-        perms = permutations(range(n))
-        best = next(perms)
-        row = [dists[i][j] for i, j in enumerate(best)]
-        best_max, best_sum = max(row), sum(row)
-        for perm in perms:
-            # The running maximum, updated as max() does; the permutation is
-            # dropped as soon as it exceeds the best maximum so far.
-            m = dists[0][perm[0]]
-            if m > best_max:
-                continue
-            for i in range(1, n):
-                d = dists[i][perm[i]]
-                if d > m:
-                    if d > best_max:
-                        break
-                    m = d
-            else:
-                if not m <= best_max:  # nan compares false
-                    continue
-                s = sum([dists[i][j] for i, j in enumerate(perm)])
-                # Ties broken by the lexicographic (re, im) order of the
-                # assigned reference roots, so equal-cost matchings are stable.
-                if (
-                    m < best_max
-                    or s < best_sum
-                    or (s == best_sum and _tie_key(reference, perm) < _tie_key(reference, best))
-                ):
-                    best, best_max, best_sum = perm, m, s
+
+        def cost(perm):
+            row = [dists[i][j] for i, j in enumerate(perm)]
+            # Ties broken by the lexicographic (re, im) order of the assigned
+            # reference roots, so equal-cost matchings are stable.
+            tie = tuple((reference[j].real, reference[j].imag) for j in perm)
+            return max(row), sum(row), tie
+
+        best = min(permutations(range(n)), key=cost)
         return [(i, j, dists[i][j]) for i, j in enumerate(best)]
 
     edges = sorted(
