@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -177,7 +176,8 @@ def _record_dict(polynomial: str, method: str, roots, diagnostics: dict | None) 
 
 
 def _fmt_num(v: float) -> str:
-    return str(int(v)) if v.is_integer() else repr(v)
+    # From 1e16 up, repr switches to exponent form; the integer form stops there too.
+    return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
 
 
 def _fmt_root(z: complex) -> str:
@@ -207,10 +207,13 @@ def _parse(text: str):
 
 
 def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None:
+    """Warn on each root whose residual is over its threshold.
+
+    Runs only after :func:`_emit` has strictly encoded the record, so every
+    root and residual is finite.
+    """
     residuals = rs.residuals
-    # Each root's threshold is at least tolerance.  An inf residual warns
-    # under an inf tolerance, and max() can pass over a nan: hence isfinite.
-    if max(residuals) <= tolerance and all(map(math.isfinite, residuals)):
+    if max(residuals) <= tolerance:  # each root's threshold is at least tolerance
         return
     bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
     degree = p.degree
@@ -219,8 +222,7 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
             over = r > bound * max(1.0, abs(z)) ** degree
         except OverflowError:  # |z|^degree past the float range counts as inf, 0 * inf as 0
             over = not bound and r > 0.0
-        # A non-finite residual (nan compares false) is over any threshold.
-        if over or not math.isfinite(r):
+        if over:
             print(
                 f"warning: root {_fmt_root(z)} exceeds the residual threshold {tolerance}",
                 file=sys.stderr,

@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -458,13 +459,29 @@ def _residual_cases(seed, count):
 
 
 class TestResidualWarnings:
-    """``_residual_warnings`` against the reference copy of it without the early return."""
+    """``_residual_warnings`` against the reference copy of it without the early return.
+
+    The CLI calls it only on a record that ``_emit`` printed, so every root
+    and residual is finite; a case holding a non-finite one checks that
+    ``_emit`` refuses its record instead.
+    """
 
     def test_matches_the_reference(self, capsys):
+        from splitroots import cli
         from splitroots.cli import _fmt_root, _residual_warnings
 
-        outcomes = {"warned": 0, "silent": 0, "overflow": 0}
+        outcomes = {"warned": 0, "silent": 0, "overflow": 0, "refused": 0}
         for p, rs, tolerance in _residual_cases(20261019, 20_000):
+            if not all(map(cmath.isfinite, rs.roots)) or not all(map(math.isfinite, rs.residuals)):
+                rows = [(z.real, z.imag, r, "t") for z, r in zip(rs.roots, rs.residuals)]
+                record = cli._record_dict(cli.format_polynomial(p), "split-closed-form", rows, None)
+                for mode in (False, True):
+                    args = SimpleNamespace(json=mode)
+                    assert cli._emit(record, cli._roots_text, args, batch=True) == 4, (p, rs)
+                    captured = capsys.readouterr()
+                    assert captured.out == "" and captured.err.startswith("error: "), (p, rs)
+                outcomes["refused"] += 1
+                continue
             try:
                 _reference_residual_warnings(p, rs, tolerance)
             except OverflowError:
@@ -572,22 +589,9 @@ class TestTextOutput:
         captured = capsys.readouterr()
         roots = captured.out.split("roots:\n")[1].splitlines()
         assert roots[0] == "  -1e-160  (residual 0.000e+00, branch trivial-imaginary-branch:+)"
-        assert roots[1].startswith(f"  -{int(1e160)}  (residual 1.000e+00, ")
+        # Text mode spells -1e160 as JSON does, not as a 161-digit integer.
+        assert roots[1].startswith("  -1e+160  (residual 1.000e+00, ")
         assert captured.err == ""
-
-    def test_non_finite_residual_warns(self, capsys):
-        # A nan residual compares false against any bound, yet still warns.
-        # The CLI refuses a result holding one (exit 4) before it warns, so
-        # the rule is called directly, on the roots 0 and -inf that an earlier
-        # solver gave for z^2 + 1e160 z + 1.
-        from splitroots.cli import _residual_warnings
-
-        p = RealPolynomial((1.0, 1e160, 1.0))
-        rs = RootSet([0j, complex(-math.inf, 0.0)], [1.0, math.nan], ["t", "t"])
-        _residual_warnings(p, rs, 1e-8)
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "warning: root -inf exceeds the residual threshold 1e-08\n"
 
     def test_bench_text_table(self, capsys):
         assert main(["bench", "--n", "3", "--degree", "2"]) == 0
