@@ -192,6 +192,15 @@ class TestStartAndStop:
         assert abs(abs(small) - 1e-8) <= 1e-22
         assert abs(abs(large) - 1e8) <= 1e-6
 
+    def test_coincident_starts_on_a_critical_point_still_converge(self, monkeypatch):
+        # Both roots of z^2 - 4 start at 0, where p' vanishes: the first
+        # sweep nudges their zero difference apart and takes the product
+        # correction in place of the Newton step.
+        monkeypatch.setattr(oracle, "_start_points", lambda coeffs: [0j] * (len(coeffs) - 1))
+        result = find_roots(RealPolynomial((-4.0, 0.0, 1.0)))
+        assert result.converged
+        assert max_pairing_distance(result.roots, [2 + 0j, -2 + 0j]) <= 1e-12
+
 
 class TestConvergenceTest:
     # max(1, |z|)**n leaves the float range for these finite roots; the
@@ -434,6 +443,11 @@ class TestHornerPasses:
             assert residual == abs(horner_with_derivative(coeffs_rev, z)[0])
             tried_more_than_start += len(points) > 1
         assert tried_more_than_start == 200
+
+    def test_polish_stops_where_the_derivative_vanishes(self):
+        # z^2 + 1 at its critical point 0: no Newton step exists, and the
+        # root comes back unchanged.
+        assert oracle._polish((1.0, 0.0, 1.0), 0j) == (0j, 1.0)
 
     def test_find_roots_does_not_reevaluate_polished_roots(self, monkeypatch):
         for coeffs in ((6.0, -7.0, 0.0, 1.0), (-3.1, 0.7, -2.0, 5.5, 1.25), (2.0, 0.0, 1.0)):

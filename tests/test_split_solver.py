@@ -522,6 +522,13 @@ class TestDeflation:
         roots = [complex(1e200, 0.0), 1j, -1j, 0j]
         assert split_solver._deflate((0.0, 1.0, 0.0, 1.0, 1.0), roots, "abcd") == (roots, "abcd")
 
+    def test_non_finite_quotient_leaves_the_roots(self):
+        # Dividing z^3 + 1e308 by the root 1e-3 overflows the quotient, whose
+        # roots are then not finite.
+        roots, tags = [1e-3 + 0j, 1e-4 + 0j, 1e-5 + 0j], ("a", "b", "c")
+        kept_roots, kept_tags = split_solver._deflate((1e308, 0.0, 0.0, 1.0), roots, tags)
+        assert kept_roots is roots and kept_tags is tags
+
 
 class TestScaleExtremes:
     # Roots far from 1 in modulus.  The tiny roots need the real-axis snap
@@ -943,6 +950,11 @@ class TestHornerPasses:
         want = _reference_polish_root((1.0, 0.0, -2.0), z0, 2.0)
         monkeypatch.setattr(split_solver, "horner_abs", forbidden)
         assert split_solver._polish_root((1.0, 0.0, -2.0), z0, 2.0, known) == want
+
+    def test_polish_root_stops_where_the_derivative_vanishes(self):
+        # z^2 + 1 at its critical point 0: no Newton step exists, and the
+        # root comes back unchanged.
+        assert split_solver._polish_root((1.0, 0.0, 1.0), 0j, 1.0, 1.0) == (0j, 1.0)
 
 
 # ---------------------------------------------------------------------------
