@@ -1,4 +1,4 @@
-"""Acceptance gate: nine pinned criteria covering solver, oracle, and CLI.
+"""Acceptance gate: ten pinned criteria covering solver, oracle, and CLI.
 
 Each criterion records its verdict in ``RESULTS``; the ``conftest.py``
 terminal-summary hook prints one ``ACCEPTANCE CRITERION n: PASS/FAIL`` line
@@ -9,6 +9,7 @@ per criterion at the end of the run.  Criteria 1-3 share one
 import cmath
 import functools
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -392,3 +393,57 @@ def test_criterion_9_parser_and_cli(capsys, monkeypatch):
     with pytest.raises(ParseError):
         parse_polynomial("")
     capsys.readouterr()
+
+
+# Polynomials per corpus and degree (2, 3, 4) whose largest relative forward
+# error against the reference roots is over 1e-6.  A change that lowers a
+# count lowers it here too.
+_FORWARD_ERROR_COUNTS = {
+    "lib-wide-201": (0, 0, 3),
+    "lib-wide-202": (0, 0, 0),
+    "lib-wide-203": (0, 0, 1),
+    "wide-roots": (0, 36, 271),
+    "extremes": (0, 1, 3),
+}
+
+
+def _forward_error(roots, reference) -> float:
+    """The largest relative error under the pairing that minimizes it; nan for a non-finite root."""
+    if not all(map(cmath.isfinite, roots)):
+        return math.nan
+
+    def relative(z, r):
+        return abs(z - r) / abs(r) if r else (0.0 if z == 0 else math.inf)
+
+    return min(
+        max(relative(z, reference[j]) for z, j in zip(roots, perm))
+        for perm in itertools.permutations(range(len(reference)))
+    )
+
+
+@_criterion(
+    10,
+    "forward error: per corpus and degree, no more polynomials than committed "
+    "have a root over 1e-6 relative from tests/artifacts/reference_roots.json",
+)
+def test_criterion_10_forward_error_ratchet():
+    # The references are mpmath's, written by tests/make_reference_roots.py;
+    # this test reads only the JSON.
+    artifact = json.loads((_ARTIFACT_DIR / "reference_roots.json").read_text())
+    counts = {}
+    for name, entries in artifact["corpora"].items():
+        over = [0, 0, 0]
+        for entry in entries:
+            coeffs = tuple(map(float, entry["coefficients"]))
+            reference = [complex(r) for r in entry["roots"]]
+            try:
+                error = _forward_error(solve(RealPolynomial(coeffs)).roots, reference)
+            except ValueError:
+                error = math.nan
+            if not error <= 1e-6:  # nan compares false: it counts as over
+                over[len(reference) - 2] += 1
+        counts[name] = tuple(over)
+    print(f"forward error over 1e-6, degrees 2/3/4: {counts}")
+    assert counts.keys() == _FORWARD_ERROR_COUNTS.keys()
+    for name, committed in _FORWARD_ERROR_COUNTS.items():
+        assert all(map(int.__le__, counts[name], committed)), (name, counts[name], committed)
