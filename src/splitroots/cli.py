@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 standard output closed by its reader (the rest of
 the output is dropped without a traceback), 2 parse error (message plus
-caret), 3 unsupported degree, 4 no finite result (the solver gave up on an
-overflowing intermediate, or the result holds an inf or nan; nothing is
-printed for that input).  Each input's result is one output record;
+caret), 3 unsupported degree, 4 no finite result (the solver or the oracle
+gave up on an overflowing intermediate, or the result holds an inf or nan;
+nothing is printed for that input).  Each input's result is one output record;
 ``--json`` prints it as strict JSON (pretty-printed for a single expression,
 one line per record when reading stdin) instead of as text, and never
 changes the exit code.  In batch mode an input that fails does not stop the
@@ -316,6 +316,15 @@ def max_pairing_distance(computed, reference) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_result(p: RealPolynomial):
+    """``find_roots(p)``, or ``None`` after an ``error:`` line where the oracle overflows."""
+    try:
+        return find_roots(p)
+    except (ValueError, OverflowError) as err:
+        print(f"error: oracle: {err}", file=sys.stderr)
+        return None
+
+
 def _solve_one(text: str, args, batch: bool) -> int:
     p, variable = _parse(text)
     if p is None:
@@ -340,8 +349,10 @@ def _solve_one(text: str, args, batch: bool) -> int:
             _split_entry(system, coeffs, *system.decompose(z + shift)) for z, _, _ in rows
         ]
     if args.oracle:
-        distance = max_pairing_distance(rs.roots, find_roots(p).roots)
-        diagnostics["oracle_max_pairing_distance"] = distance
+        result = _oracle_result(p)
+        if result is None:
+            return _EXIT_NOT_FINITE
+        diagnostics["oracle_max_pairing_distance"] = max_pairing_distance(rs.roots, result.roots)
     return _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, batch)
 
 
@@ -354,7 +365,9 @@ def _oracle_one(text: str, args, batch: bool) -> int:
     if p is None:
         return _EXIT_PARSE
 
-    result = find_roots(p)
+    result = _oracle_result(p)
+    if result is None:
+        return _EXIT_NOT_FINITE
     rs = RootSet(
         roots=result.roots,
         residuals=tuple(abs(evaluate(p, z)) for z in result.roots),

@@ -21,11 +21,19 @@ passes with any residual but ``nan``.
 
 Apart from the input type ``RealPolynomial`` and its ``monic()``, the only
 code shared with the closed-form solver is ``poly_core.horner_with_derivative``,
-which the Newton polish calls (the Aberth sweep runs the same recurrence
-inline).  Nothing in ``split_solver`` is called, the Newton-polygon hull
-here is the oracle's own, and the polish here is separate from the solver's
-on purpose: a bug on a path the two shared would show up in both results
-alike, and the cross-check would not see it.
+which the Newton polish calls.  Nothing in ``split_solver`` is called, the
+Newton-polygon hull here is the oracle's own, and the polish here is separate
+from the solver's on purpose: a bug on a path the two shared would show up in
+both results alike, and the cross-check would not see it.
+
+The Aberth sweep runs the same Horner recurrence inline, with its first two
+steps folded.  The leading coefficient is ``1.0``, so for a finite ``z`` those
+steps give exactly ``p' = 1+0j`` and ``p = z + a[n-1]``: every product with
+a zero part is a signed zero, and adding ``1.0``, a finite part or the
+``+0.0`` imaginary part that ``complex + float`` gives the float rounds those
+zeros away.  The one exception is ``a[n-1] == -0.0``, where a zero real part
+of ``z`` could come out with the other sign; that polynomial, and a
+non-finite ``z`` (where ``0 * inf`` is ``nan``), take the full recurrence.
 """
 
 from __future__ import annotations
@@ -180,6 +188,12 @@ def _start_points(coeffs: tuple[float, ...]) -> list[complex]:
     return z
 
 
+@lru_cache(maxsize=64)
+def _other_indices(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each ``k < n``, the indices ``j != k`` in ascending order."""
+    return tuple(tuple(j for j in range(n) if j != k) for k in range(n))
+
+
 def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int]:
     """Aberth-Ehrlich iteration on a monic polynomial of degree >= 2 with ``coeffs[0] != 0``.
 
@@ -193,9 +207,15 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
     sweeps until every root froze, or ``_MAX_ITERATIONS``.
     """
     coeffs_rev = coeffs[::-1]
+    c1, tail = coeffs_rev[1], coeffs_rev[2:]
+    # zk + c1 is the first two Horner steps' p, bit for bit, for every finite
+    # zk unless c1 is -0.0 (module docstring).
+    fold = c1 != 0.0 or math.copysign(1.0, c1) > 0.0
     z = _start_points(coeffs)
     n = len(z)
-    active = list(range(n))
+    others = _other_indices(n)
+    tolerance = _TOLERANCE
+    active = range(n)
     sweeps = 0
     while active and sweeps < _MAX_ITERATIONS:
         sweeps += 1
@@ -203,37 +223,41 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
         still_active = []
         for k in active:
             zk = z[k]
-            # horner_with_derivative inlined: the same operations in the same order.
-            pk = dpk = 0j
-            for c in coeffs_rev:
-                dpk = dpk * zk + pk
-                pk = pk * zk + c
-            if pk == 0 or late and _meets_tolerance(abs(pk), zk, n, scale):
+            # horner_with_derivative inlined: the same operations in the same
+            # order, the first two steps folded where that is exact.
+            if fold and not zk - zk:  # zk finite
+                pk, dpk = zk + c1, 1 + 0j
+                for c in tail:
+                    dpk = dpk * zk + pk
+                    pk = pk * zk + c
+            else:
+                pk = dpk = 0j
+                for c in coeffs_rev:
+                    dpk = dpk * zk + pk
+                    pk = pk * zk + c
+            if not pk or late and _meets_tolerance(abs(pk), zk, n, scale):
                 continue
-            repulsion = 0j
-            for j, zj in enumerate(z):
-                if j != k:
-                    diff = zk - zj
-                    if diff == 0:
+            if dpk:
+                repulsion = 0j
+                for j in others[k]:
+                    diff = zk - z[j]
+                    if not diff:
                         diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
                     repulsion += 1.0 / diff
-            if dpk != 0:
                 newton = pk / dpk
                 denom = 1.0 - newton * repulsion
-                correction = newton if denom == 0 else newton / denom
+                correction = newton / denom if denom else newton
             else:
                 # Derivative vanished: fall back to the product correction.
                 prod = complex(1.0, 0.0)
-                for j in range(n):
-                    if j == k:
-                        continue
+                for j in others[k]:
                     diff = zk - z[j]
-                    if diff == 0:
+                    if not diff:
                         diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
                     prod *= diff
                 correction = pk / prod
             z[k] = zk - correction
-            if abs(correction) > _TOLERANCE * abs(zk):
+            if abs(correction) > tolerance * abs(zk):
                 still_active.append(k)
         active = still_active
     return z, sweeps
@@ -243,6 +267,11 @@ def find_roots(p: RealPolynomial) -> OracleResult:
     """Find all complex roots of ``p`` by simultaneous iteration.
 
     Deterministic: the same polynomial always produces bit-identical results.
+
+    Finite input can still raise: ``ValueError`` for degree 0, or when a
+    coefficient divided by the leading one overflows in ``monic()``;
+    ``OverflowError`` when a modulus the iteration takes, such as ``|p(z)|``
+    in the polish, is past the float range although its parts are finite.
     """
     if p.degree < 1:
         raise ValueError("find_roots requires degree >= 1")

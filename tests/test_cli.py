@@ -16,6 +16,7 @@ import pytest
 import splitroots
 from splitroots import RealPolynomial, RootSet
 from splitroots.cli import OutputRecord, main
+from splitroots.parser import format_polynomial
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -25,6 +26,14 @@ GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
 CUBIC_1E300 = "z^3 + {0}z^2 + {0}z + {0}".format("1" + "0" * 300)
 # z^2 + 1e160 z + 1: the solver's roots are finite, the oracle's nan.
 WIDE_QUADRATIC = f"z^2 + 1{'0' * 160}z + 1"
+# Finite inputs on which the oracle raises: |p(z)| overflows in its polish
+# on the cubic, and 1e10 / 1e-300 overflows in monic() on the quadratic.
+ORACLE_OVERFLOWS = {
+    "cubic": format_polynomial(
+        RealPolynomial((0.0, 9.772785278470283e139, -1.2498788044298073e21, 3.3857319084680446e-155)), "z"
+    ),
+    "quadratic": format_polynomial(RealPolynomial((1.0, 1e10, 1e-300)), "z"),
+}
 
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=lambda p: p.stem)
@@ -203,6 +212,34 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out.startswith("polynomial: z^2 - 1\nmethod: oracle\n")
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("name", ORACLE_OVERFLOWS)
+    @pytest.mark.parametrize(
+        "command",
+        [["oracle"], ["solve", "--oracle"], ["solve", "--show-depressed", "--oracle"]],
+        ids=["oracle", "solve-oracle", "solve-show-depressed-oracle"],
+    )
+    def test_oracle_error_on_finite_input_is_4(self, name, command, capsys):
+        # One error line and exit 4 in both modes, as for the solver's own
+        # errors; before, the oracle's exception ended the run in a traceback.
+        text = ORACLE_OVERFLOWS[name]
+        for mode in ([], ["--json"]):
+            assert main([*command, *mode, text]) == 4, mode
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1, mode
+            if command == ["oracle"] or name == "cubic":  # else the solver's error comes first
+                assert captured.err.startswith("error: oracle: "), mode
+
+    def test_oracle_error_line_reports_4_and_batch_goes_on(self, capsys, monkeypatch):
+        lines = "".join(f"{text}\n" for text in ORACLE_OVERFLOWS.values())
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{lines}z^2 - 1\n"))
+        assert main(["oracle", "--json"]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["polynomial"] == "z^2 - 1"
+        assert captured.err == (
+            "error: oracle: absolute value too large\n"
+            "error: oracle: coefficients must be finite, got inf\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -299,22 +299,70 @@ def _reference_cluster_radii(roots, floor):
     return tuple(radii)
 
 
-def _reference_find_roots(p):
-    """The earlier find_roots: polish every root, then test them all with ``zip``.
+def _reference_aberth(coeffs, scale):
+    """The earlier Aberth sweep, frozen: the full Horner recurrence per root, ``enumerate`` over the others."""
+    coeffs_rev = coeffs[::-1]
+    z = oracle._start_points(coeffs)
+    n = len(z)
+    active = list(range(n))
+    sweeps = 0
+    while active and sweeps < oracle._MAX_ITERATIONS:
+        sweeps += 1
+        late = sweeps > oracle._LATE_SWEEPS
+        still_active = []
+        for k in active:
+            zk = z[k]
+            pk = dpk = 0j
+            for c in coeffs_rev:
+                dpk = dpk * zk + pk
+                pk = pk * zk + c
+            if pk == 0 or late and oracle._meets_tolerance(abs(pk), zk, n, scale):
+                continue
+            repulsion = 0j
+            for j, zj in enumerate(z):
+                if j != k:
+                    diff = zk - zj
+                    if diff == 0:
+                        diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
+                    repulsion += 1.0 / diff
+            if dpk != 0:
+                newton = pk / dpk
+                denom = 1.0 - newton * repulsion
+                correction = newton if denom == 0 else newton / denom
+            else:
+                prod = complex(1.0, 0.0)
+                for j in range(n):
+                    if j == k:
+                        continue
+                    diff = zk - z[j]
+                    if diff == 0:
+                        diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
+                    prod *= diff
+                correction = pk / prod
+            z[k] = zk - correction
+            if abs(correction) > oracle._TOLERANCE * abs(zk):
+                still_active.append(k)
+        active = still_active
+    return z, sweeps
 
-    ``_aberth`` runs with scale 0, which turns the late freeze off (no
-    nonzero residual is within 0), so its sweeps are the earlier ones.
-    """
+
+def _quotient(p):
+    """The monic coefficients with the zero roots split off, their scale, and how many were split off."""
     coeffs = p.monic().coefficients
-    n = p.degree
-    coeffs_rev = tuple(reversed(coeffs))
     scale = max(1.0, max(abs(c) for c in coeffs))
     zeros = 0
     while coeffs[zeros] == 0.0:
         zeros += 1
-    quotient = coeffs[zeros:]
+    return coeffs[zeros:], scale, zeros
+
+
+def _reference_find_roots(p):
+    """The earlier find_roots: the frozen sweep, every root polished, then all tested with ``zip``."""
+    quotient, scale, zeros = _quotient(p)
+    coeffs_rev = tuple(reversed(p.monic().coefficients))
+    n = p.degree
     if len(quotient) > 2:
-        z, iterations_used = oracle._aberth(quotient, 0.0)
+        z, iterations_used = _reference_aberth(quotient, scale)
     else:
         z, iterations_used = [complex(-c, 0.0) for c in quotient[:-1]], 0
     polished = [oracle._polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
@@ -328,6 +376,35 @@ def _reference_find_roots(p):
         converged=converged,
         cluster_radii=_reference_cluster_radii(z, oracle._CLUSTER_RADIUS_FLOOR),
     )
+
+
+def _outcome(f, *args):
+    """``f(*args)`` and its ``repr``, or ``None`` and the type of the error it raises."""
+    try:
+        result = f(*args)
+    except (ValueError, OverflowError) as err:
+        return None, type(err)
+    return result, repr(result)
+
+
+def _assert_matches_frozen_copy(p):
+    """find_roots and its sweeps against the frozen copies, repr for repr; returns the reference.
+
+    The sweeps run with the real scale and with scale 0, which turns the late
+    freeze off (no nonzero residual is within 0).  Where the reference raises,
+    the live code must raise the same type.
+    """
+    want, want_repr = _outcome(_reference_find_roots, p)
+    assert _outcome(find_roots, p)[1] == want_repr, p.coefficients
+    try:
+        quotient = _quotient(p)[0]
+    except ValueError:  # monic() overflowed: no sweep ran
+        return want
+    if len(quotient) > 2:
+        for scale in (_quotient(p)[1], 0.0):
+            got = _outcome(oracle._aberth, quotient, scale)[1]
+            assert got == _outcome(_reference_aberth, quotient, scale)[1], (p.coefficients, scale)
+    return want
 
 
 def _seeded_oracle_inputs(rng):
@@ -353,46 +430,95 @@ def _seeded_oracle_inputs(rng):
 
 
 class TestMatchesReferenceOracle:
-    """find_roots and _cluster_radii against their earlier code, repr for repr."""
+    """find_roots, _aberth and _cluster_radii against their earlier code, repr for repr."""
 
     def test_seeded_inputs(self):
         rng = random.Random(1801)
         compared = late = clustered = zero_roots = 0
         for coeffs in _seeded_oracle_inputs(rng):
             p = RealPolynomial(coeffs)
-            try:
-                want = _reference_find_roots(p)
-            except OverflowError:
+            want = _assert_matches_frozen_copy(p)
+            if want is None:
                 continue
-            got = find_roots(p)
-            if want.iterations_used > oracle._LATE_SWEEPS:
-                # Near-clusters whose roots jitter by more than the relative
-                # stop: the late freeze ends them one sweep later.
-                assert got.iterations_used == oracle._LATE_SWEEPS + 1, coeffs
-                assert got.converged and want.converged, coeffs
-                late += 1
-                continue
-            assert repr(got) == repr(want), coeffs
             compared += 1
+            late += want.iterations_used == oracle._LATE_SWEEPS + 1
             clustered += any(want.cluster_radii)
             zero_roots += 0j in want.roots
-        assert compared + late == 3000
-        assert compared >= 2600 and clustered >= 200 and zero_roots >= 1200
+        assert compared == 3000
+        assert late >= 300 and clustered >= 200 and zero_roots >= 1200
+
+    def test_late_freeze_ends_what_the_relative_stop_does_not(self):
+        # Near-clusters whose roots jitter by more than the relative stop:
+        # without the late freeze (scale 0) they run on, with it they end
+        # one sweep after _LATE_SWEEPS.
+        rng = random.Random(1801)
+        jittering = 0
+        for coeffs in _seeded_oracle_inputs(rng):
+            try:
+                quotient, scale, _ = _quotient(RealPolynomial(coeffs))
+            except ValueError:
+                continue
+            if len(quotient) <= 2 or oracle._aberth(quotient, 0.0)[1] <= oracle._LATE_SWEEPS:
+                continue
+            assert oracle._aberth(quotient, scale)[1] == oracle._LATE_SWEEPS + 1, coeffs
+            jittering += 1
+        assert jittering >= 300
 
     @pytest.mark.parametrize("coeffs", [(1.0, 1e160, 1.0), (1e300, 1e300, 1e300, 1.0)])
     def test_nan_roots_after_every_sweep(self, coeffs):
         # The largest root's value overflows in the first sweep and turns
         # nan; in the second the other roots meet it in their repulsion term
         # and turn nan too.  A nan correction freezes its root, so the
-        # iteration stops there, where the earlier stop rule swept the nan
-        # roots all 200 times.  The reference runs the live _aberth, so only the
-        # sweep count tells the two rules apart.
+        # iteration stops there, where the stop rule before the nan freeze
+        # swept the nan roots all 200 times.
         p = RealPolynomial(coeffs)
+        _assert_matches_frozen_copy(p)
         got = find_roots(p)
-        assert repr(got) == repr(_reference_find_roots(p))
         assert got.iterations_used == 2
         assert not got.converged
         assert all(cmath.isnan(z) for z in got.roots)
+
+    @pytest.mark.parametrize(
+        "coeffs, start",
+        [
+            # Coincident starts on a critical point: the nudge and the
+            # product correction, at 0 and at 1.
+            ((-4.0, 0.0, 1.0), [0j, 0j]),
+            ((-3.0, -2.0, 1.0), [1 + 0j, 1 + 0j]),
+            # Coincident starts off it: the nudge in the repulsion sum.
+            ((-3.0, -2.0, 1.0), [2 + 0j, 2 + 0j]),
+            # z^2 + 3 from 1 and -1: the Newton step 2 times the repulsion
+            # 1/2 is exactly 1, so the Aberth denominator vanishes.
+            ((3.0, 0.0, 1.0), [1 + 0j, -1 + 0j]),
+            # Starts that take the full Horner recurrence: a non-finite one,
+            # and, where a[n-1] is -0.0, one with real part -0.0 and a
+            # negative imaginary part.
+            ((1.0, 0.0, 1.0), [complex(math.inf, 1.0), 1j]),
+            ((1.0, -0.0, -0.0, 1.0), [complex(-0.0, -1e-200), 1 + 1j, -1 + 1j]),
+        ],
+    )
+    def test_chosen_starts(self, monkeypatch, coeffs, start):
+        p = RealPolynomial(coeffs)
+        monkeypatch.setattr(oracle, "_start_points", lambda coeffs: list(start))
+        _assert_matches_frozen_copy(p)
+        # The first sweep alone, before later sweeps can wash a difference out.
+        monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+        _assert_matches_frozen_copy(p)
+
+    @pytest.mark.parametrize(
+        "coeffs, error",
+        [
+            # |p(z)| in the polish overflows although its parts are finite.
+            ((0.0, 9.772785278470283e139, -1.2498788044298073e21, 3.3857319084680446e-155), OverflowError),
+            # 1e10 / 1e-300 overflows in monic().
+            ((1.0, 1e10, 1e-300), ValueError),
+        ],
+    )
+    def test_overflowing_inputs_raise_as_before(self, coeffs, error):
+        p = RealPolynomial(coeffs)
+        _assert_matches_frozen_copy(p)
+        with pytest.raises(error):
+            find_roots(p)
 
     def test_cluster_radii_on_random_sets(self):
         rng = random.Random(1802)
