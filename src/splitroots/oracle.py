@@ -28,12 +28,13 @@ both results alike, and the cross-check would not see it.
 
 The Aberth sweep runs the same Horner recurrence inline, with its first two
 steps folded.  The leading coefficient is ``1.0``, so for a finite ``z`` those
-steps give exactly ``p' = 1+0j`` and ``p = z + a[n-1]``: every product with
-a zero part is a signed zero, and adding ``1.0``, a finite part or the
-``+0.0`` imaginary part that ``complex + float`` gives the float rounds those
-zeros away.  The one exception is ``a[n-1] == -0.0``, where a zero real part
-of ``z`` could come out with the other sign; that polynomial, and a
-non-finite ``z`` (where ``0 * inf`` is ``nan``), take the full recurrence.
+steps give exactly ``p' = 1+0j`` and ``p = z + a[n-1]``: their products with
+``0j`` and ``1+0j`` add only signed zeros, which the additions after them
+round away (``complex + float`` adds the float as ``complex(a, 0.0)``).  The
+one exception is ``a[n-1] == -0.0``: there a ``z`` with real part ``-0.0``
+and a negative imaginary part would get ``-0.0`` where the recurrence gives
+``0.0``.  That polynomial, and a non-finite ``z`` (where ``0 * inf`` is
+``nan``), take the full recurrence.
 """
 
 from __future__ import annotations
