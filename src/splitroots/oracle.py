@@ -26,15 +26,18 @@ Newton-polygon hull here is the oracle's own, and the polish here is separate
 from the solver's on purpose: a bug on a path the two shared would show up in
 both results alike, and the cross-check would not see it.
 
-The Aberth sweep runs the same Horner recurrence inline, with its first two
-steps folded.  The leading coefficient is ``1.0``, so for a finite ``z`` those
-steps give exactly ``p' = 1+0j`` and ``p = z + a[n-1]``: their products with
-``0j`` and ``1+0j`` add only signed zeros, which the additions after them
-round away (``complex + float`` adds the float as ``complex(a, 0.0)``).  The
-one exception is ``a[n-1] == -0.0``: there a ``z`` with real part ``-0.0``
-and a negative imaginary part would get ``-0.0`` where the recurrence gives
-``0.0``.  That polynomial, and a non-finite ``z`` (where ``0 * inf`` is
-``nan``), take the full recurrence.
+The Aberth sweep runs the same Horner recurrence inline, its first two steps
+folded for a finite ``z``: the leading coefficient is ``1.0``, so they give
+``p' = 1+0j`` and ``p = z + a[n-1]``, up to signed zeros that the additions
+after them round away (``complex + float`` adds ``complex(a, 0.0)`` on CPython
+3.13 and earlier; 3.14 adds to the real part alone, so recheck the fold
+there).  The one sign that can survive, a real part ``-0.0`` of ``p`` where
+``a[n-1]`` and the real part of ``z`` are ``-0.0``, is gone from ``p`` after
+the last step adds ``complex(a[0], 0.0)`` with ``a[0] != 0``, and reaches
+``p'`` at most as the sign of a zero ``p'``, which the sweep only tests for
+truth.  A non-finite ``z`` takes the full recurrence: there ``0 * inf`` makes
+``p`` ``nan``, where the folded ``p`` could be ``inf`` and pass the late
+freeze.
 """
 
 from __future__ import annotations
@@ -209,9 +212,6 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
     """
     coeffs_rev = coeffs[::-1]
     c1, tail = coeffs_rev[1], coeffs_rev[2:]
-    # zk + c1 is the first two Horner steps' p, bit for bit, for every finite
-    # zk unless c1 is -0.0 (module docstring).
-    fold = c1 != 0.0 or math.copysign(1.0, c1) > 0.0
     z = _start_points(coeffs)
     n = len(z)
     others = _other_indices(n)
@@ -225,8 +225,8 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
         for k in active:
             zk = z[k]
             # horner_with_derivative inlined: the same operations in the same
-            # order, the first two steps folded where that is exact.
-            if fold and not zk - zk:  # zk finite
+            # order, the first two steps folded for a finite zk (module docstring).
+            if not zk - zk:  # zk finite
                 pk, dpk = zk + c1, 1 + 0j
                 for c in tail:
                     dpk = dpk * zk + pk

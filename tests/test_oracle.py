@@ -485,9 +485,9 @@ class TestMatchesReferenceOracle:
             # z^2 + 3 from 1 and -1: the Newton step 2 times the repulsion
             # 1/2 is exactly 1, so the Aberth denominator vanishes.
             ((3.0, 0.0, 1.0), [1 + 0j, -1 + 0j]),
-            # Starts that take the full Horner recurrence: a non-finite one,
-            # and, where a[n-1] is -0.0, one with real part -0.0 and a
-            # negative imaginary part.
+            # A non-finite start, which takes the full Horner recurrence, and,
+            # where a[n-1] is -0.0, a start with real part -0.0 and a negative
+            # imaginary part, where the folded first steps keep a -0.0.
             ((1.0, 0.0, 1.0), [complex(math.inf, 1.0), 1j]),
             ((1.0, -0.0, -0.0, 1.0), [complex(-0.0, -1e-200), 1 + 1j, -1 + 1j]),
         ],
@@ -498,6 +498,10 @@ class TestMatchesReferenceOracle:
         _assert_matches_frozen_copy(p)
         # The first sweep alone, before later sweeps can wash a difference out.
         monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+        _assert_matches_frozen_copy(p)
+        # The same sweep under the late freeze: folded, a non-finite start
+        # would get an inf residual there and freeze at inf, not turn nan.
+        monkeypatch.setattr(oracle, "_LATE_SWEEPS", 0)
         _assert_matches_frozen_copy(p)
 
     @pytest.mark.parametrize(
