@@ -58,6 +58,14 @@ _S2_NOTE = (
 )
 
 
+class _Refused(Exception):
+    """An input the CLI refuses: ``str()`` is its stderr text, ``code`` its exit code."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(f"error: {message}")
+        self.code, self.message = code, message
+
+
 class _System(NamedTuple):
     """A split system, evaluated as ``residual(*coefficients, x, y)``."""
 
@@ -196,14 +204,12 @@ def _ordered(rs: RootSet) -> list[tuple[complex, float, str]]:
 
 
 def _parse(text: str):
-    """``(polynomial, variable)``, or ``(None, None)`` after printing the error."""
+    """``(polynomial, variable)``; a parse error is refused with its message and a caret."""
     try:
         return parse_polynomial_with_variable(text)
     except ParseError as err:
-        print(f"error: {err.message} (column {err.position})", file=sys.stderr)
-        print(f"  {text}", file=sys.stderr)
-        print("  " + " " * err.position + "^", file=sys.stderr)
-        return None, None
+        message = f"{err.message} (column {err.position})\n  {text}\n  " + " " * err.position + "^"
+        raise _Refused(_EXIT_PARSE, message) from None
 
 
 def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None:
@@ -229,29 +235,25 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
             )
 
 
-def _emit(record: dict, text: Callable[[dict], list[str]], args, batch: bool) -> int:
+def _emit(record: dict, text: Callable[[dict], list[str]], args, batch: bool) -> None:
     """Print ``record`` as JSON under ``--json``, else as the lines ``text(record)``.
 
     Either way the record is encoded once as strict JSON first.  Strict JSON
-    has no NaN or Infinity, so a record holding one is refused in both modes:
-    nothing is printed for it, and its exit code is 4.
+    has no NaN or Infinity, so a record holding one is refused in both modes
+    with exit code 4, and nothing is printed for it.
     """
     try:
         # The record is a tree of fresh dicts and lists, so the encoder's
         # cycle check has nothing to find.
         out = json.dumps(record, indent=None if batch else 2, allow_nan=False, check_circular=False)
     except ValueError:
-        print(
-            f"error: the result for {record['polynomial']} holds a non-finite number (inf or nan)",
-            file=sys.stderr,
-        )
-        return _EXIT_NOT_FINITE
+        message = f"the result for {record['polynomial']} holds a non-finite number (inf or nan)"
+        raise _Refused(_EXIT_NOT_FINITE, message) from None
     if not args.json:
         out = "\n".join(text(record))
     # One write per record: print would write the newline separately, and an
     # unbuffered stdout makes every write a system call.
     sys.stdout.write(out + "\n")
-    return _EXIT_OK
 
 
 def _fmt_fields(values: dict) -> str:
@@ -283,14 +285,12 @@ def _roots_text(record: dict) -> list[str]:
     return lines
 
 
-def _report(p, variable, method, rs, rows, diagnostics, args, batch) -> int:
+def _report(p, variable, method, rs, rows, diagnostics, args, batch) -> None:
     """Emit one input's record, its roots in ``rows`` order, then warn on residuals."""
     roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
     record = _record_dict(format_polynomial(p, variable), method, roots, diagnostics or None)
-    code = _emit(record, _roots_text, args, batch)
-    if code == _EXIT_OK:
-        _residual_warnings(p, rs, args.tolerance)
-    return code
+    _emit(record, _roots_text, args, batch)
+    _residual_warnings(p, rs, args.tolerance)
 
 
 def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
@@ -317,23 +317,20 @@ def max_pairing_distance(computed, reference) -> float:
 
 
 def _oracle_result(p: RealPolynomial):
-    """``find_roots(p)``, or ``None`` after an ``error:`` line where the oracle overflows."""
+    """``find_roots(p)``; where the oracle overflows, ``p`` is refused with exit code 4."""
     try:
         return find_roots(p)
     except (ValueError, OverflowError) as err:
-        print(f"error: oracle: {err}", file=sys.stderr)
-        return None
+        raise _Refused(_EXIT_NOT_FINITE, f"oracle: {err}") from None
 
 
-def _solve_one(text: str, args, batch: bool) -> int:
+def _solve_one(text: str, args, batch: bool) -> None:
     p, variable = _parse(text)
-    if p is None:
-        return _EXIT_PARSE
     try:
         rs = solve(p)
     except ValueError as err:  # UnsupportedDegreeError included
-        print(f"error: {err}", file=sys.stderr)
-        return _EXIT_DEGREE if isinstance(err, UnsupportedDegreeError) else _EXIT_NOT_FINITE
+        code = _EXIT_DEGREE if isinstance(err, UnsupportedDegreeError) else _EXIT_NOT_FINITE
+        raise _Refused(code, str(err)) from None
 
     rows = _ordered(rs)
     diagnostics: dict = {}
@@ -350,24 +347,17 @@ def _solve_one(text: str, args, batch: bool) -> int:
         ]
     if args.oracle:
         result = _oracle_result(p)
-        if result is None:
-            return _EXIT_NOT_FINITE
         diagnostics["oracle_max_pairing_distance"] = max_pairing_distance(rs.roots, result.roots)
-    return _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, batch)
+    _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, batch)
 
 
 def cmd_solve(args) -> int:
     return _run(args, _solve_one)
 
 
-def _oracle_one(text: str, args, batch: bool) -> int:
+def _oracle_one(text: str, args, batch: bool) -> None:
     p, variable = _parse(text)
-    if p is None:
-        return _EXIT_PARSE
-
     result = _oracle_result(p)
-    if result is None:
-        return _EXIT_NOT_FINITE
     rs = RootSet(
         roots=result.roots,
         residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
@@ -378,7 +368,7 @@ def _oracle_one(text: str, args, batch: bool) -> int:
         "iterations_used": result.iterations_used,
         "cluster_radii": list(result.cluster_radii),
     }
-    return _report(p, variable, "oracle", rs, _ordered(rs), diagnostics, args, batch)
+    _report(p, variable, "oracle", rs, _ordered(rs), diagnostics, args, batch)
 
 
 def cmd_oracle(args) -> int:
@@ -386,44 +376,39 @@ def cmd_oracle(args) -> int:
 
 
 def _run(args, one) -> int:
-    """``one`` on the expression argument, or on each nonblank stdin line."""
+    """``one`` on the expression argument, or on each nonblank stdin line, reporting refusals."""
     if args.expr is not None:
-        return one(args.expr, args, batch=False)
+        one(args.expr, args, batch=False)
+        return _EXIT_OK
     exit_code = _EXIT_OK
     pending_separator = False
     for line in sys.stdin:
         text = line.strip()
         if not text:
             continue
-        if pending_separator and not args.json:
+        if pending_separator:
             print()
             pending_separator = False
-        code = one(text, args, batch=True)
-        if code == _EXIT_OK:
+        try:
+            one(text, args, batch=True)
+        except _Refused as err:
+            print(err, file=sys.stderr)
+            exit_code = exit_code or err.code
+        else:
             pending_separator = not args.json
-        elif exit_code == _EXIT_OK:
-            exit_code = code
     return exit_code
 
 
 def cmd_split_system(args) -> int:
     p, variable = _parse(args.expr)
-    if p is None:
-        return _EXIT_PARSE
-
     degree = p.degree
     if degree >= 5:
-        print(f"error: {UnsupportedDegreeError(degree)}", file=sys.stderr)
-        return _EXIT_DEGREE
+        raise _Refused(_EXIT_DEGREE, str(UnsupportedDegreeError(degree)))
     if degree < 2:
-        print(
-            f"error: split systems are defined for degrees 2-4, got degree {degree}",
-            file=sys.stderr,
-        )
-        return _EXIT_PARSE
+        message = f"split systems are defined for degrees 2-4, got degree {degree}"
+        raise _Refused(_EXIT_PARSE, message)
     if (args.x is None) != (args.y is None):
-        print("error: --x and --y must be given together", file=sys.stderr)
-        return _EXIT_PARSE
+        raise _Refused(_EXIT_PARSE, "--x and --y must be given together")
 
     spec = _DEGREES[degree]
     monic = p.monic().coefficients
@@ -440,12 +425,8 @@ def cmd_split_system(args) -> int:
         lines.append("auto-depressed: " + _fmt_fields(dep))
         diagnostics["depressed_coefficients"] = dep
     else:
-        print(
-            f"error: polynomial is not depressed (nonzero {spec.removed_term} term); "
-            "rerun with --auto-depress",
-            file=sys.stderr,
-        )
-        return _EXIT_PARSE
+        message = f"polynomial is not depressed (nonzero {spec.removed_term} term)"
+        raise _Refused(_EXIT_PARSE, message + "; rerun with --auto-depress")
 
     split_residuals: list[dict] = []
     if args.x is not None:
@@ -469,7 +450,8 @@ def cmd_split_system(args) -> int:
         diagnostics["split_residuals"] = split_residuals
 
     record = _record_dict(echo, "split-closed-form", [], diagnostics or None)
-    return _emit(record, lambda _: lines, args, batch=False)
+    _emit(record, lambda _: lines, args, batch=False)
+    return _EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -620,7 +602,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except _Refused as err:  # a single expression; _run reports a stdin line's
+            print(err, file=sys.stderr)
+            code = err.code
         sys.stdout.flush()  # a closed reader must show up here, not at exit
     except BrokenPipeError:
         # The reader went away (e.g. `| head`).  Python flushes stdout again

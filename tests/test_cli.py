@@ -500,7 +500,7 @@ class TestResidualWarnings:
 
     The CLI calls it only on a record that ``_emit`` printed, so every root
     and residual is finite; a case holding a non-finite one checks that
-    ``_emit`` refuses its record instead.
+    ``_emit`` raises its refusal instead, printing nothing.
     """
 
     def test_matches_the_reference(self, capsys):
@@ -514,9 +514,11 @@ class TestResidualWarnings:
                 record = cli._record_dict(cli.format_polynomial(p), "split-closed-form", rows, None)
                 for mode in (False, True):
                     args = SimpleNamespace(json=mode)
-                    assert cli._emit(record, cli._roots_text, args, batch=True) == 4, (p, rs)
-                    captured = capsys.readouterr()
-                    assert captured.out == "" and captured.err.startswith("error: "), (p, rs)
+                    with pytest.raises(cli._Refused) as refused:
+                        cli._emit(record, cli._roots_text, args, batch=True)
+                    assert refused.value.code == 4, (p, rs)
+                    assert str(refused.value).startswith("error: "), (p, rs)
+                    assert capsys.readouterr() == ("", ""), (p, rs)
                 outcomes["refused"] += 1
                 continue
             try:
