@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -345,7 +346,8 @@ def _solve_one(text: str, args, batch: bool) -> None:
         diagnostics["split_residuals"] = [
             _split_entry(system, coeffs, *system.decompose(z + shift)) for z, _, _ in rows
         ]
-    if args.oracle:
+    # A non-finite residual is refused by _emit; the oracle's own refusal must not come first.
+    if args.oracle and all(map(math.isfinite, rs.residuals)):
         result = _oracle_result(p)
         diagnostics["oracle_max_pairing_distance"] = max_pairing_distance(rs.roots, result.roots)
     _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, batch)

@@ -227,8 +227,35 @@ class TestExitCodes:
             assert main([*command, *mode, text]) == 4, mode
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.count("\n") == 1, mode
-            if command == ["oracle"] or name == "cubic":  # else the solver's error comes first
+            if command == ["oracle"]:
                 assert captured.err.startswith("error: oracle: "), mode
+            else:  # the solver's own refusal comes first, as without --oracle
+                assert main([*command[:-1], *mode, text]) == 4, mode
+                assert capsys.readouterr() == captured, mode
+
+    @pytest.mark.parametrize("flags", [[], ["--show-depressed"]], ids=["plain", "show-depressed"])
+    def test_oracle_skipped_on_a_non_finite_result(self, flags, capsys, monkeypatch):
+        # The solver's roots and residuals on this cubic are nan, and the
+        # oracle overflows on it.  --oracle reports the solver's failure, as
+        # solve alone does, and never runs the oracle on it.
+        from splitroots import cli
+
+        oracle_inputs = []
+        find_roots = cli.find_roots
+        monkeypatch.setattr(cli, "find_roots", lambda p: oracle_inputs.append(p) or find_roots(p))
+        text = ORACLE_OVERFLOWS["cubic"]
+        error = f"error: the result for {text} holds a non-finite number (inf or nan)\n"
+        for mode in ([], ["--json"]):
+            for oracle in ([], ["--oracle"]):
+                assert main(["solve", *flags, *oracle, *mode, text]) == 4, (oracle, mode)
+                assert capsys.readouterr() == ("", error), (oracle, mode)
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"{text}\nz^2 - 1\n"))
+            assert main(["solve", *flags, "--oracle", *mode]) == 4, mode
+            captured = capsys.readouterr()
+            assert captured.err == error, mode
+            assert "z^2 - 1" in captured.out and "nan" not in captured.out, mode
+        # Only the batches' second line reached the oracle.
+        assert [p.coefficients for p in oracle_inputs] == [(-1.0, 0.0, 1.0)] * 2
 
     def test_oracle_error_line_reports_4_and_batch_goes_on(self, capsys, monkeypatch):
         lines = "".join(f"{text}\n" for text in ORACLE_OVERFLOWS.values())
