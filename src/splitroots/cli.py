@@ -8,7 +8,8 @@ nothing is printed for that input).  Each input's result is one output record;
 ``--json`` prints it as strict JSON (pretty-printed for a single expression,
 one line per record when reading stdin) instead of as text, and never
 changes the exit code.  In batch mode an input that fails does not stop the
-lines after it; the first failure's code is returned.
+lines after it; its error reads ``error: line N: ...``, N the 1-based stdin
+line (blank lines counted), and the first failure's code is returned.
 ``--tolerance`` only changes when a residual warning is printed; it never
 changes solver internals.
 """
@@ -384,7 +385,7 @@ def _run(args, one) -> int:
         return _EXIT_OK
     exit_code = _EXIT_OK
     pending_separator = False
-    for line in sys.stdin:
+    for number, line in enumerate(sys.stdin, 1):
         text = line.strip()
         if not text:
             continue
@@ -394,7 +395,7 @@ def _run(args, one) -> int:
         try:
             one(text, args, batch=True)
         except _Refused as err:
-            print(err, file=sys.stderr)
+            print(f"error: line {number}: {err.message}", file=sys.stderr)
             exit_code = exit_code or err.code
         else:
             pending_separator = not args.json

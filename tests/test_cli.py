@@ -210,6 +210,9 @@ class TestExitCodes:
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{WIDE_QUADRATIC}\nz^2 - 1\n"))
         assert main(["oracle"]) == 4
         captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1: the result for z^2 + ")
+        assert captured.err.endswith(" holds a non-finite number (inf or nan)\n")
+        assert captured.err.count("\n") == 1
         assert captured.out.startswith("polynomial: z^2 - 1\nmethod: oracle\n")
         assert "nan" not in captured.out
 
@@ -252,7 +255,7 @@ class TestExitCodes:
             monkeypatch.setattr("sys.stdin", io.StringIO(f"{text}\nz^2 - 1\n"))
             assert main(["solve", *flags, "--oracle", *mode]) == 4, mode
             captured = capsys.readouterr()
-            assert captured.err == error, mode
+            assert captured.err == error.replace("error: ", "error: line 1: ", 1), mode
             assert "z^2 - 1" in captured.out and "nan" not in captured.out, mode
         # Only the batches' second line reached the oracle.
         assert [p.coefficients for p in oracle_inputs] == [(-1.0, 0.0, 1.0)] * 2
@@ -264,8 +267,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["polynomial"] == "z^2 - 1"
         assert captured.err == (
-            "error: oracle: absolute value too large\n"
-            "error: oracle: coefficients must be finite, got inf\n"
+            "error: line 1: oracle: absolute value too large\n"
+            "error: line 2: oracle: coefficients must be finite, got inf\n"
         )
 
     @pytest.mark.parametrize(
@@ -456,7 +459,7 @@ class TestJsonEmit:
         monkeypatch.setattr("sys.stdin", io.StringIO("z^2 - 1\nz^2 - 4\n"))
         assert main(["solve", "--json", "--oracle"]) == 4
         captured = capsys.readouterr()
-        assert captured.err == error
+        assert captured.err == error.replace("error: ", "error: line 1: ")
         records = [json.loads(line) for line in captured.out.splitlines()]
         assert [r["polynomial"] for r in records] == ["z^2 - 4"]
         assert records[0]["diagnostics"] == {"oracle_max_pairing_distance": 0.0}
