@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import pytest
 
 import splitroots
-from splitroots import RealPolynomial, RootSet
+from splitroots import RealPolynomial, RootSet, UnsupportedDegreeError
 from splitroots.cli import OutputRecord, main
-from splitroots.parser import format_polynomial
+from splitroots.parser import format_polynomial, parse_polynomial
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -33,6 +33,78 @@ ORACLE_OVERFLOWS = {
         RealPolynomial((0.0, 9.772785278470283e139, -1.2498788044298073e21, 3.3857319084680446e-155)), "z"
     ),
     "quadratic": format_polynomial(RealPolynomial((1.0, 1e10, 1e-300)), "z"),
+}
+_NOT_FINITE = "the result for {} holds a non-finite number (inf or nan)"
+# Each kind of refusal: (command, expression, exit code, stderr text after "error: ").
+REFUSALS = {
+    "parse-error": (
+        ["solve"],
+        "2 & 3",
+        2,
+        "expected '+' or '-' before '&' (column 2)\n  2 & 3\n    ^",
+    ),
+    "oracle-parse-error": (
+        ["oracle"],
+        "z^2 +",
+        2,
+        "expected a term after the sign (column 4)\n  z^2 +\n      ^",
+    ),
+    "degree-5": (["solve"], "z^5 + 1", 3, str(UnsupportedDegreeError(5))),
+    "solve-value-error": (
+        ["solve"],
+        f"z^4 + 1{'0' * 155}z^3 + 1",
+        4,
+        "resolvent coefficients must be finite, got (1.0, -inf, nan, nan)",
+    ),
+    "oracle-overflow": (
+        ["oracle"],
+        ORACLE_OVERFLOWS["cubic"],
+        4,
+        "oracle: absolute value too large",
+    ),
+    "oracle-monic-overflow": (
+        ["oracle"],
+        ORACLE_OVERFLOWS["quadratic"],
+        4,
+        "oracle: coefficients must be finite, got inf",
+    ),
+    "non-finite-record": (
+        ["solve"],
+        CUBIC_1E300,
+        4,
+        _NOT_FINITE.format(format_polynomial(parse_polynomial(CUBIC_1E300))),
+    ),
+    "non-finite-record-before-the-oracle": (
+        ["solve", "--show-depressed", "--oracle"],
+        CUBIC_1E300,
+        4,
+        _NOT_FINITE.format(format_polynomial(parse_polynomial(CUBIC_1E300))),
+    ),
+    "split-system-degree-5": (["split-system"], "z^5 + 1", 3, str(UnsupportedDegreeError(5))),
+    "split-system-degree-1": (
+        ["split-system"],
+        "z + 1",
+        2,
+        "split systems are defined for degrees 2-4, got degree 1",
+    ),
+    "split-system-x-without-y": (
+        ["split-system", "--x=1"],
+        "z^2 + 1",
+        2,
+        "--x and --y must be given together",
+    ),
+    "split-system-not-depressed": (
+        ["split-system"],
+        "z^3 + z^2 + 1",
+        2,
+        "polynomial is not depressed (nonzero quadratic term); rerun with --auto-depress",
+    ),
+    "split-system-non-finite-record": (
+        ["split-system", "--x=1e200", "--y=0"],
+        "z^2 + z + 1",
+        4,
+        _NOT_FINITE.format("z^2 + z + 1"),
+    ),
 }
 
 
@@ -306,6 +378,21 @@ class TestExitCodes:
                 assert captured.err.startswith("error: "), mode
             else:
                 assert captured.out != "" and captured.err == "", mode
+
+    @pytest.mark.parametrize("kind", REFUSALS)
+    def test_refusal_prints_only_its_error(self, kind, capsys, monkeypatch):
+        # In both modes a refused input prints nothing on stdout and exactly
+        # its error on stderr; in a batch the error names the input's stdin
+        # line, blank lines counted.
+        command, text, code, message = REFUSALS[kind]
+        for mode in ([], ["--json"]):
+            assert main([*command, *mode, text]) == code, mode
+            assert capsys.readouterr() == ("", f"error: {message}\n"), mode
+            if command[0] == "split-system":  # one expression only, no batch mode
+                continue
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"\n{text}\n"))
+            assert main([*command, *mode]) == code, mode
+            assert capsys.readouterr() == ("", f"error: line 2: {message}\n"), mode
 
     def test_option_limits_are_inclusive(self, capsys):
         assert main(["bench", "--n", "1", "--degree", "2"]) == 0

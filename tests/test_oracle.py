@@ -584,6 +584,17 @@ class TestHornerPasses:
             assert all(points.count(z) == 1 for z in result.roots)
             assert len(points) <= 4 * len(result.roots)
 
+    def test_complex_plus_float_adds_a_zero_imaginary_part(self):
+        # The sweep's folded first Horner steps match the full recurrence
+        # only while complex + float adds complex(c, 0.0), which turns an
+        # imaginary -0.0 into 0.0; an interpreter that adds to the real part
+        # alone keeps the -0.0.
+        imag = (complex(0.0, -0.0) + 1.0).imag
+        assert math.copysign(1.0, imag) == 1.0, (
+            "complex + float kept an imaginary -0.0: recheck the folded Horner "
+            "steps against the premise stated in the splitroots.oracle module docstring"
+        )
+
 
 def _reference_pair_roots(computed, reference):
     """The pairing rule stated as one key per permutation, for n <= 4."""
