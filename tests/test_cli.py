@@ -76,9 +76,9 @@ REFUSALS = {
     ),
     "non-finite-record-before-the-oracle": (
         ["solve", "--show-depressed", "--oracle"],
-        CUBIC_1E300,
+        ORACLE_OVERFLOWS["cubic"],
         4,
-        _NOT_FINITE.format(format_polynomial(parse_polynomial(CUBIC_1E300))),
+        _NOT_FINITE.format(ORACLE_OVERFLOWS["cubic"]),
     ),
     "split-system-degree-5": (["split-system"], "z^5 + 1", 3, str(UnsupportedDegreeError(5))),
     "split-system-degree-1": (
