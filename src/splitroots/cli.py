@@ -9,7 +9,8 @@ nothing is printed for that input).  Each input's result is one output record;
 one line per record when reading stdin) instead of as text, and never
 changes the exit code.  In batch mode an input that fails does not stop the
 lines after it; its error reads ``error: line N: ...``, N the 1-based stdin
-line (blank lines counted), and the first failure's code is returned.
+line (blank lines counted), and the first failure's code is returned.  A
+residual warning there reads ``warning: line N: ...`` likewise.
 ``--tolerance`` only changes when a residual warning is printed; it never
 changes solver internals.
 """
@@ -83,7 +84,6 @@ class _Reduction(NamedTuple):
     label: str
     key: str
     compute: Callable[..., tuple[float, ...]]
-    in_solve: bool  # also printed by ``solve --show-depressed``
 
 
 class _Degree(NamedTuple):
@@ -109,13 +109,13 @@ _DEGREES = {
                 omega_decompose,
             ),
         ),
-        _Reduction("naive reduction (c3, c1, c0)", "naive_reduction", naive_cubic_reduction, False),
+        _Reduction("naive reduction (c3, c1, c0)", "naive_reduction", naive_cubic_reduction),
     ),
     4: _Degree(
         depress_quartic,
         "cubic",
         (_System("S4", "z = x + iy", quartic_split_residual),),
-        _Reduction("resolvent", "resolvent_coefficients", quartic_resolvent_coefficients, True),
+        _Reduction("resolvent", "resolvent_coefficients", quartic_resolvent_coefficients),
     ),
 }
 
@@ -214,8 +214,8 @@ def _parse(text: str):
         raise _Refused(_EXIT_PARSE, message) from None
 
 
-def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None:
-    """Warn on each root whose residual is over its threshold.
+def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float, line: int | None) -> None:
+    """Warn on each root whose residual is over its threshold, naming stdin ``line`` if given.
 
     Runs only after :func:`_emit` has strictly encoded the record, so every
     root and residual is finite.
@@ -225,6 +225,7 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
         return
     bound = tolerance * max(1.0, max(map(abs, p.coefficients)))
     degree = p.degree
+    where = "" if line is None else f"line {line}: "
     for z, r in zip(rs.roots, residuals):
         try:
             over = r > bound * max(1.0, abs(z)) ** degree
@@ -232,14 +233,15 @@ def _residual_warnings(p: RealPolynomial, rs: RootSet, tolerance: float) -> None
             over = not bound and r > 0.0
         if over:
             print(
-                f"warning: root {_fmt_root(z)} exceeds the residual threshold {tolerance}",
+                f"warning: {where}root {_fmt_root(z)} exceeds the residual threshold {tolerance}",
                 file=sys.stderr,
             )
 
 
-def _emit(record: dict, text: Callable[[dict], list[str]], args, batch: bool) -> None:
+def _emit(record: dict, text: Callable[[dict], list[str]], args, line: int | None) -> None:
     """Print ``record`` as JSON under ``--json``, else as the lines ``text(record)``.
 
+    The JSON for stdin ``line`` takes one line; without one it is indented.
     Either way the record is encoded once as strict JSON first.  Strict JSON
     has no NaN or Infinity, so a record holding one is refused in both modes
     with exit code 4, and nothing is printed for it.
@@ -247,7 +249,7 @@ def _emit(record: dict, text: Callable[[dict], list[str]], args, batch: bool) ->
     try:
         # The record is a tree of fresh dicts and lists, so the encoder's
         # cycle check has nothing to find.
-        out = json.dumps(record, indent=None if batch else 2, allow_nan=False, check_circular=False)
+        out = json.dumps(record, indent=None if line else 2, allow_nan=False, check_circular=False)
     except ValueError:
         message = f"the result for {record['polynomial']} holds a non-finite number (inf or nan)"
         raise _Refused(_EXIT_NOT_FINITE, message) from None
@@ -287,12 +289,12 @@ def _roots_text(record: dict) -> list[str]:
     return lines
 
 
-def _report(p, variable, method, rs, rows, diagnostics, args, batch) -> None:
+def _report(p, variable, method, rs, rows, diagnostics, args, line) -> None:
     """Emit one input's record, its roots in ``rows`` order, then warn on residuals."""
     roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
     record = _record_dict(format_polynomial(p, variable), method, roots, diagnostics or None)
-    _emit(record, _roots_text, args, batch)
-    _residual_warnings(p, rs, args.tolerance)
+    _emit(record, _roots_text, args, line)
+    _residual_warnings(p, rs, args.tolerance, line)
 
 
 def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
@@ -304,8 +306,11 @@ def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
 # attribute, so a run that never consults it does not load it.  Callers look
 # these two names up as module globals at call time; nothing here rebinds them.
 def find_roots(p: RealPolynomial):
-    """The oracle's :class:`~splitroots.oracle.OracleResult` for ``p``."""
-    return splitroots.oracle.find_roots(p)
+    """The oracle's result for ``p``; where the oracle overflows, ``p`` is refused with exit 4."""
+    try:
+        return splitroots.oracle.find_roots(p)
+    except (ValueError, OverflowError) as err:
+        raise _Refused(_EXIT_NOT_FINITE, f"oracle: {err}") from None
 
 
 def max_pairing_distance(computed, reference) -> float:
@@ -318,15 +323,7 @@ def max_pairing_distance(computed, reference) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_result(p: RealPolynomial):
-    """``find_roots(p)``; where the oracle overflows, ``p`` is refused with exit code 4."""
-    try:
-        return find_roots(p)
-    except (ValueError, OverflowError) as err:
-        raise _Refused(_EXIT_NOT_FINITE, f"oracle: {err}") from None
-
-
-def _solve_one(text: str, args, batch: bool) -> None:
+def _solve_one(text: str, args, line: int | None) -> None:
     p, variable = _parse(text)
     try:
         rs = solve(p)
@@ -340,7 +337,7 @@ def _solve_one(text: str, args, batch: bool) -> None:
     if spec is not None and spec.depress is not None:
         dep = dict(vars(spec.depress(p)))
         *coeffs, shift = dep.values()
-        if spec.reduction.in_solve:
+        if p.degree == 4:
             diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))
         diagnostics["depressed_coefficients"] = dep
         system = spec.systems[-1]
@@ -349,18 +346,14 @@ def _solve_one(text: str, args, batch: bool) -> None:
         ]
     # A non-finite residual is refused by _emit; the oracle's own refusal must not come first.
     if args.oracle and all(map(math.isfinite, rs.residuals)):
-        result = _oracle_result(p)
+        result = find_roots(p)
         diagnostics["oracle_max_pairing_distance"] = max_pairing_distance(rs.roots, result.roots)
-    _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, batch)
+    _report(p, variable, "split-closed-form", rs, rows, diagnostics, args, line)
 
 
-def cmd_solve(args) -> int:
-    return _run(args, _solve_one)
-
-
-def _oracle_one(text: str, args, batch: bool) -> None:
+def _oracle_one(text: str, args, line: int | None) -> None:
     p, variable = _parse(text)
-    result = _oracle_result(p)
+    result = find_roots(p)
     rs = RootSet(
         roots=result.roots,
         residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
@@ -371,17 +364,13 @@ def _oracle_one(text: str, args, batch: bool) -> None:
         "iterations_used": result.iterations_used,
         "cluster_radii": list(result.cluster_radii),
     }
-    _report(p, variable, "oracle", rs, _ordered(rs), diagnostics, args, batch)
+    _report(p, variable, "oracle", rs, _ordered(rs), diagnostics, args, line)
 
 
-def cmd_oracle(args) -> int:
-    return _run(args, _oracle_one)
-
-
-def _run(args, one) -> int:
-    """``one`` on the expression argument, or on each nonblank stdin line, reporting refusals."""
+def _run(args) -> int:
+    """``args.one`` on the expression argument, or on each nonblank stdin line; reports refusals."""
     if args.expr is not None:
-        one(args.expr, args, batch=False)
+        args.one(args.expr, args, None)
         return _EXIT_OK
     exit_code = _EXIT_OK
     pending_separator = False
@@ -393,7 +382,7 @@ def _run(args, one) -> int:
             print()
             pending_separator = False
         try:
-            one(text, args, batch=True)
+            args.one(text, args, number)
         except _Refused as err:
             print(f"error: line {number}: {err.message}", file=sys.stderr)
             exit_code = exit_code or err.code
@@ -414,7 +403,10 @@ def cmd_split_system(args) -> int:
         raise _Refused(_EXIT_PARSE, "--x and --y must be given together")
 
     spec = _DEGREES[degree]
-    monic = p.monic().coefficients
+    try:
+        monic = p.monic().coefficients
+    except ValueError as err:  # the monic form overflows
+        raise _Refused(_EXIT_NOT_FINITE, str(err)) from None
     echo = format_polynomial(p, variable)
     lines = [f"polynomial: {echo}"]
     diagnostics: dict = {}
@@ -453,7 +445,7 @@ def cmd_split_system(args) -> int:
         diagnostics["split_residuals"] = split_residuals
 
     record = _record_dict(echo, "split-closed-form", [], diagnostics or None)
-    _emit(record, lambda _: lines, args, batch=False)
+    _emit(record, lambda _: lines, args, None)
     return _EXIT_OK
 
 
@@ -555,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the iterative oracle and report the max pairing distance",
     )
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=_run, one=_solve_one)
 
     p_split = sub.add_parser(
         "split-system",
@@ -583,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="find roots with the iterative oracle only",
     )
     p_oracle.add_argument("expr", nargs="?", help="polynomial expression")
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=_run, one=_oracle_one)
 
     p_bench = sub.add_parser(
         "bench",

@@ -122,7 +122,7 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...]:
+def _cluster_radii(roots: tuple[complex, ...]) -> tuple[float, ...]:
     n = len(roots)
     close = [
         (i, j)
@@ -149,7 +149,7 @@ def _cluster_radii(roots: tuple[complex, ...], floor: float) -> tuple[float, ...
             continue
         centroid = sum(roots[i] for i in group) / len(group)
         radius = max(abs(roots[i] - centroid) for i in group)
-        radius = max(radius, floor)
+        radius = max(radius, _CLUSTER_RADIUS_FLOOR)
         for i in group:
             radii[i] = radius
     return tuple(radii)
@@ -308,7 +308,7 @@ def find_roots(p: RealPolynomial) -> OracleResult:
         roots=roots,
         iterations_used=iterations_used,
         converged=converged,
-        cluster_radii=_cluster_radii(roots, _CLUSTER_RADIUS_FLOOR),
+        cluster_radii=_cluster_radii(roots),
     )
 
 

@@ -97,10 +97,8 @@ class RealPolynomial(_Record):
         return self.coefficients[-1]
 
     def monic(self) -> RealPolynomial:
-        lead = self.coefficients[-1]
-        if lead == 1.0:
-            return self
-        return RealPolynomial(tuple(c / lead for c in self.coefficients))
+        coefficients = _monic_coefficients(self)
+        return self if coefficients is self.coefficients else RealPolynomial._trusted(coefficients)
 
 
 class DepressedCubic(_Record):

@@ -34,6 +34,8 @@ ORACLE_OVERFLOWS = {
     ),
     "quadratic": format_polynomial(RealPolynomial((1.0, 1e10, 1e-300)), "z"),
 }
+# Where a refusal's key names it, the oracle's own find_roots raises this.
+PATCHED_ORACLE_ERROR = OverflowError("x")
 _NOT_FINITE = "the result for {} holds a non-finite number (inf or nan)"
 # Each kind of refusal: (command, expression, exit code, stderr text after "error: ").
 REFUSALS = {
@@ -68,6 +70,8 @@ REFUSALS = {
         4,
         "oracle: coefficients must be finite, got inf",
     ),
+    "oracle-monkeypatched-overflow": (["oracle"], "z^2 - 1", 4, "oracle: x"),
+    "solve-oracle-monkeypatched-overflow": (["solve", "--oracle"], "z^2 - 1", 4, "oracle: x"),
     "non-finite-record": (
         ["solve"],
         CUBIC_1E300,
@@ -105,7 +109,20 @@ REFUSALS = {
         4,
         _NOT_FINITE.format("z^2 + z + 1"),
     ),
+    "split-system-monic-overflow": (
+        ["split-system"],
+        ORACLE_OVERFLOWS["quadratic"],
+        4,
+        "coefficients must be finite, got inf",
+    ),
 }
+
+
+def _raise(error):
+    def raising(*args):
+        raise error
+
+    return raising
 
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=lambda p: p.stem)
@@ -385,6 +402,8 @@ class TestExitCodes:
         # its error on stderr; in a batch the error names the input's stdin
         # line, blank lines counted.
         command, text, code, message = REFUSALS[kind]
+        if "monkeypatched" in kind:
+            monkeypatch.setattr("splitroots.oracle.find_roots", _raise(PATCHED_ORACLE_ERROR))
         for mode in ([], ["--json"]):
             assert main([*command, *mode, text]) == code, mode
             assert capsys.readouterr() == ("", f"error: {message}\n"), mode
@@ -632,7 +651,7 @@ class TestResidualWarnings:
                 for mode in (False, True):
                     args = SimpleNamespace(json=mode)
                     with pytest.raises(cli._Refused) as refused:
-                        cli._emit(record, cli._roots_text, args, batch=True)
+                        cli._emit(record, cli._roots_text, args, 1)
                     assert refused.value.code == 4, (p, rs)
                     assert str(refused.value).startswith("error: "), (p, rs)
                     assert capsys.readouterr() == ("", ""), (p, rs)
@@ -656,11 +675,11 @@ class TestResidualWarnings:
                         capsys.readouterr()
                         if tolerance == 0.0 and r > 0.0:
                             want += f"warning: root {_fmt_root(z)} exceeds the residual threshold 0.0\n"
-                _residual_warnings(p, rs, tolerance)
+                _residual_warnings(p, rs, tolerance, None)
                 assert capsys.readouterr() == ("", want), (p, rs, tolerance)
                 continue
             want = capsys.readouterr()
-            _residual_warnings(p, rs, tolerance)
+            _residual_warnings(p, rs, tolerance, None)
             assert capsys.readouterr() == want, (p, rs, tolerance)
             outcomes["warned" if want.err else "silent"] += 1
         # Both outcomes and the overflow are reached often.
@@ -737,6 +756,14 @@ class TestTextOutput:
         assert "exceeds the residual threshold" in captured.err
         # warnings must not contaminate stdout
         assert "warning:" not in captured.out
+
+    def test_batch_warning_names_its_line(self, capsys, monkeypatch):
+        # Under a zero tolerance only the second line's roots, whose residuals
+        # are not 0, warn; each warning names stdin line 2.
+        monkeypatch.setattr("sys.stdin", io.StringIO("z^2 - 4\nz^3 - 7z + 6\n"))
+        assert main(["solve", "--tolerance", "0"]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert warnings and all(w.startswith("warning: line 2: root ") for w in warnings)
 
     def test_overflowing_discriminant_gives_finite_roots(self, capsys):
         # The linear coefficient 1e160 overflows its square; the roots still

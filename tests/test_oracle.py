@@ -528,8 +528,8 @@ class TestMatchesReferenceOracle:
             roots = tuple(rng.choice(grid) + rng.choice((0.0, 1.0, 5.0)) for _ in range(n))
             if rng.random() < 0.1 and roots:
                 roots = roots[:-1] + (complex(math.nan, 0.0),)
-            assert repr(oracle._cluster_radii(roots, 1e-7)) == repr(
-                _reference_cluster_radii(roots, 1e-7)
+            assert repr(oracle._cluster_radii(roots)) == repr(
+                _reference_cluster_radii(roots, oracle._CLUSTER_RADIUS_FLOOR)
             ), roots
 
 

@@ -56,6 +56,30 @@ class TestRealPolynomial:
         m = p.monic()
         assert m.leading_coefficient == 1.0
         assert m.coefficients == (3.0, -3.5, 0.0, 1.0)
+        # Signed zeros, subnormals and ratios near the float range come out
+        # as the public constructor would build them from the quotients.
+        tiny = 5e-324
+        for coefficients in (
+            (-0.0, 0.0, -3.0),
+            (-0.0, -0.0, 2.0),
+            (tiny, -tiny, 1e-300, 7.0),
+            (tiny, 1e-20, -2e-310),
+            (1.7e308, -1.0, 1.0001),
+            (1e308, 1e-10, 0.5, -1.25),
+            (-1e-308, 3e-320, 1e308),
+        ):
+            p = RealPolynomial(coefficients)
+            lead = p.leading_coefficient
+            want = RealPolynomial(tuple(c / lead for c in p.coefficients))
+            assert repr(p.monic()) == repr(want), coefficients
+        monic = RealPolynomial((-0.0, tiny, 1.0))
+        assert monic.monic() is monic
+        for coefficients in ((1e10, 1e-300), (1.0, -1e308, 0.0, 0.5)):
+            with pytest.raises(ValueError) as monic_error:
+                RealPolynomial(coefficients).monic()
+            with pytest.raises(ValueError) as constructor_error:
+                RealPolynomial(tuple(c / coefficients[-1] for c in coefficients))
+            assert str(monic_error.value) == str(constructor_error.value), coefficients
 
     def test_monic_of_monic_is_same_values(self):
         p = RealPolynomial((6.0, -7.0, 0.0, 1.0))
