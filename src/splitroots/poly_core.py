@@ -203,7 +203,7 @@ def derivative(p: RealPolynomial) -> RealPolynomial:
 
 
 def _monic_coefficients(p: RealPolynomial) -> tuple[float, ...]:
-    """The coefficients of ``p.monic()``, without building that polynomial."""
+    """``p``'s coefficients over its leading one; ``p.coefficients`` itself if that is 1."""
     lead = p.coefficients[-1]
     if lead == 1.0:
         return p.coefficients

@@ -34,8 +34,6 @@ ORACLE_OVERFLOWS = {
     ),
     "quadratic": format_polynomial(RealPolynomial((1.0, 1e10, 1e-300)), "z"),
 }
-# Where a refusal's key names it, the oracle's own find_roots raises this.
-PATCHED_ORACLE_ERROR = OverflowError("x")
 _NOT_FINITE = "the result for {} holds a non-finite number (inf or nan)"
 # Each kind of refusal: (command, expression, exit code, stderr text after "error: ").
 REFUSALS = {
@@ -70,6 +68,7 @@ REFUSALS = {
         4,
         "oracle: coefficients must be finite, got inf",
     ),
+    # The oracle's find_roots raises OverflowError("x") in the two "monkeypatched" rows.
     "oracle-monkeypatched-overflow": (["oracle"], "z^2 - 1", 4, "oracle: x"),
     "solve-oracle-monkeypatched-overflow": (["solve", "--oracle"], "z^2 - 1", 4, "oracle: x"),
     "non-finite-record": (
@@ -403,7 +402,7 @@ class TestExitCodes:
         # line, blank lines counted.
         command, text, code, message = REFUSALS[kind]
         if "monkeypatched" in kind:
-            monkeypatch.setattr("splitroots.oracle.find_roots", _raise(PATCHED_ORACLE_ERROR))
+            monkeypatch.setattr("splitroots.oracle.find_roots", _raise(OverflowError("x")))
         for mode in ([], ["--json"]):
             assert main([*command, *mode, text]) == code, mode
             assert capsys.readouterr() == ("", f"error: {message}\n"), mode
