@@ -153,7 +153,8 @@ class OutputRecord(_MutableRecord):
         self.diagnostics = diagnostics
 
     def to_dict(self) -> dict:
-        roots = [(r.re, r.im, r.residual, r.branch_tag) for r in self.roots]
+        # complex(re, im) gives back float fields exactly.
+        roots = [(complex(r.re, r.im), r.residual, r.branch_tag) for r in self.roots]
         return _record_dict(self.polynomial, self.method, roots, self.diagnostics)
 
     @classmethod
@@ -167,7 +168,7 @@ class OutputRecord(_MutableRecord):
 
 
 def _record_dict(polynomial: str, method: str, roots, diagnostics: dict | None) -> dict:
-    """The ``--json`` output record; ``roots`` holds ``(re, im, residual, branch_tag)`` rows.
+    """The ``--json`` output record; ``roots`` holds ``(root, residual, branch_tag)`` rows.
 
     The one place the record layout is written down: :meth:`OutputRecord.to_dict`
     and the CLI's own records both come from here.
@@ -176,8 +177,8 @@ def _record_dict(polynomial: str, method: str, roots, diagnostics: dict | None) 
         "polynomial": polynomial,
         "method": method,
         "roots": [
-            {"re": re, "im": im, "residual": residual, "branch_tag": tag}
-            for re, im, residual, tag in roots
+            {"re": z.real, "im": z.imag, "residual": residual, "branch_tag": tag}
+            for z, residual, tag in roots
         ],
     }
     if diagnostics is not None:
@@ -291,8 +292,7 @@ def _roots_text(record: dict) -> list[str]:
 
 def _report(p, variable, method, rs, rows, diagnostics, args, line) -> None:
     """Emit one input's record, its roots in ``rows`` order, then warn on residuals."""
-    roots = [(z.real, z.imag, residual, tag) for z, residual, tag in rows]
-    record = _record_dict(format_polynomial(p, variable), method, roots, diagnostics or None)
+    record = _record_dict(format_polynomial(p, variable), method, rows, diagnostics or None)
     _emit(record, _roots_text, args, line)
     _residual_warnings(p, rs, args.tolerance, line)
 
@@ -335,15 +335,17 @@ def _solve_one(text: str, args, line: int | None) -> None:
     diagnostics: dict = {}
     spec = _DEGREES.get(p.degree) if args.show_depressed else None
     if spec is not None and spec.depress is not None:
-        dep = dict(vars(spec.depress(p)))
+        dep = vars(spec.depress(p))  # a fresh record's fields, in order
         *coeffs, shift = dep.values()
         if p.degree == 4:
             diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))
         diagnostics["depressed_coefficients"] = dep
         system = spec.systems[-1]
-        diagnostics["split_residuals"] = [
-            _split_entry(system, coeffs, *system.decompose(z + shift)) for z, _, _ in rows
-        ]
+        name, residual, decompose = system.name, system.residual, system.decompose
+        entries = diagnostics["split_residuals"] = []
+        for z, _, _ in rows:
+            sr = residual(*coeffs, *decompose(z + shift))
+            entries.append({"system": name, "real_part": sr.real_part, "imag_part": sr.imag_part})
     # A non-finite residual is refused by _emit; the oracle's own refusal must not come first.
     if args.oracle and all(map(math.isfinite, rs.residuals)):
         result = find_roots(p)
@@ -354,9 +356,15 @@ def _solve_one(text: str, args, line: int | None) -> None:
 def _oracle_one(text: str, args, line: int | None) -> None:
     p, variable = _parse(text)
     result = find_roots(p)
+    residuals = []
+    for z in result.roots:
+        try:
+            residuals.append(abs(evaluate(p, z)))
+        except OverflowError:  # |p(z)| past the float range: _emit refuses the record
+            residuals.append(math.inf)
     rs = RootSet(
         roots=result.roots,
-        residuals=tuple(abs(evaluate(p, z)) for z in result.roots),
+        residuals=tuple(residuals),
         branch_tags=tuple("oracle" for _ in result.roots),
     )
     diagnostics = {

@@ -19,25 +19,36 @@ A root converged when ``|p(z)| <= _TOLERANCE * scale * max(1, |z|)**n``, with
 power leaves the float range it counts as inf, so a finite root that large
 passes with any residual but ``nan``.
 
-Apart from the input type ``RealPolynomial`` and its ``monic()``, the only
-code shared with the closed-form solver is ``poly_core.horner_with_derivative``,
-which the Newton polish calls.  Nothing in ``split_solver`` is called, the
-Newton-polygon hull here is the oracle's own, and the polish here is separate
-from the solver's on purpose: a bug on a path the two shared would show up in
-both results alike, and the cross-check would not see it.
+Apart from the input type ``RealPolynomial`` and its ``monic()``, no code is
+shared with the closed-form solver.  Nothing in ``split_solver`` is called,
+the Newton-polygon hull here is the oracle's own, and the Newton polish runs
+its own value-and-derivative recurrence, separate from the solver's on
+purpose: a bug on a path the two shared would show up in both results alike,
+and the cross-check would not see it.
 
-The Aberth sweep runs the same Horner recurrence inline, its first two steps
-folded for a finite ``z``: the leading coefficient is ``1.0``, so they give
-``p' = 1+0j`` and ``p = z + a[n-1]``, up to signed zeros that the additions
-after them round away (``complex + float`` adds ``complex(a, 0.0)`` on CPython
-3.13 and earlier; 3.14 adds to the real part alone, so recheck the fold
-there).  The one sign that can survive, a real part ``-0.0`` of ``p`` where
-``a[n-1]`` and the real part of ``z`` are ``-0.0``, is gone from ``p`` after
-the last step adds ``complex(a[0], 0.0)`` with ``a[0] != 0``, and reaches
-``p'`` at most as the sign of a zero ``p'``, which the sweep only tests for
-truth.  A non-finite ``z`` takes the full recurrence: there ``0 * inf`` makes
-``p`` ``nan``, where the folded ``p`` could be ``inf`` and pass the late
-freeze.
+The Aberth sweep runs the same Horner recurrence inline, its first three
+steps folded for a finite ``z``: the leading coefficient is ``1.0``, so they
+give ``p' = 1+0j`` and ``p = z + a[n-1]``, then ``p' = z + p`` and
+``p = p z + a[n-2]``.  Folded and full steps differ only in the signs of
+zeros.  ``complex + float`` adds ``complex(c, 0.0)`` on CPython 3.13 and
+earlier (3.14 adds to the real part alone, so recheck the fold there), so the
+imaginary part of ``z + a[n-1]``, and of ``p'`` after the third step, is the
+full recurrence's bit for bit; a real part can differ only where it is a
+zero, for instance ``-0.0`` where ``a[n-1]`` and the real part of ``z`` are
+``-0.0``.  Sums and products keep such a difference on zeros, and the last
+step adds ``complex(a[0], 0.0)`` with ``a[0] != 0``, so ``p`` is the full
+recurrence's bit for bit, and any zero part of it is ``+0.0``.  ``p'`` may
+still differ in the sign of a zero part, and the sweep reads it only through
+its truth and through ``p / p'``.  With one part of ``p'`` a zero and the
+other not, CPython's division gives the same quotient but for the sign of a
+zero imaginary part, and that only where ``p`` is purely imaginary, so that
+``z`` is not real.  ``1.0 - newton * repulsion`` is the same either way, so
+the correction too differs at most in the signs of zero parts, and
+``z - correction`` drops those wherever the matching part of ``z`` is not a
+zero.  Only a root on the imaginary axis whose correction has a zero real
+part could come out differently, as the sign of that zero.  A non-finite
+``z`` takes the full recurrence: there ``0 * inf`` makes ``p`` ``nan``,
+where the folded ``p`` could be ``inf`` and pass the late freeze.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import math
 from functools import lru_cache
 from itertools import permutations
 
-from .poly_core import RealPolynomial, _Record, horner_with_derivative
+from .poly_core import RealPolynomial, _Record
 
 # Roots closer than this count as one cluster when measuring separation.
 CLUSTER_DISTANCE = 1e-3
@@ -97,20 +108,25 @@ def _polish(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, float]:
     evaluation that accepted its point, so the cost is one Horner pass at the
     start plus one per candidate tried.
     """
-    p, dp = horner_with_derivative(coeffs_rev, z)
+    p = dp = 0j
+    for c in coeffs_rev:
+        dp = dp * z + p
+        p = p * z + c
     best = abs(p)
     for _ in range(_POLISH_STEPS):
-        if dp == 0:
+        if not dp:
             break
         candidate = z - p / dp
         if candidate == z:  # a vanished step cannot lower the residual
             break
-        cp, cdp = horner_with_derivative(coeffs_rev, candidate)
+        cp = cdp = 0j
+        for c in coeffs_rev:
+            cdp = cdp * candidate + cp
+            cp = cp * candidate + c
         r = abs(cp)
-        if r < best:
-            z, best, p, dp = candidate, r, cp, cdp
-        else:
+        if not r < best:
             break
+        z, best, p, dp = candidate, r, cp, cdp
     return z, best
 
 
@@ -124,12 +140,12 @@ def _find(parent: list[int], i: int) -> int:
 
 def _cluster_radii(roots: tuple[complex, ...]) -> tuple[float, ...]:
     n = len(roots)
-    close = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(roots[i] - roots[j]) < CLUSTER_DISTANCE
-    ]
+    close = []
+    for i in range(n):
+        zi = roots[i]
+        for j in range(i + 1, n):
+            if abs(zi - roots[j]) < CLUSTER_DISTANCE:
+                close.append((i, j))
     if not close:
         return (0.0,) * n
 
@@ -211,7 +227,7 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
     sweeps until every root froze, or ``_MAX_ITERATIONS``.
     """
     coeffs_rev = coeffs[::-1]
-    c1, tail = coeffs_rev[1], coeffs_rev[2:]
+    c1, c2, tail = coeffs_rev[1], coeffs_rev[2], coeffs_rev[3:]
     z = _start_points(coeffs)
     n = len(z)
     others = _other_indices(n)
@@ -224,10 +240,13 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
         still_active = []
         for k in active:
             zk = z[k]
-            # horner_with_derivative inlined: the same operations in the same
-            # order, the first two steps folded for a finite zk (module docstring).
+            # The Horner recurrence of _polish inlined: the same operations in
+            # the same order, the first three steps folded for a finite zk
+            # (module docstring).
             if not zk - zk:  # zk finite
-                pk, dpk = zk + c1, 1 + 0j
+                pk = zk + c1
+                dpk = zk + pk
+                pk = pk * zk + c2
                 for c in tail:
                     dpk = dpk * zk + pk
                     pk = pk * zk + c
@@ -377,7 +396,7 @@ def max_pairing_distance(
         nearest = set()
         for c in computed:
             row = [abs(c - r) for r in reference]
-            if any(map(math.isnan, row)):
+            if math.isnan(sum(row)):  # the distances are >= 0, so only a nan sums to nan
                 break
             d = min(row)
             nearest.add(row.index(d))
