@@ -34,6 +34,20 @@ ORACLE_OVERFLOWS = {
     ),
     "quadratic": format_polynomial(RealPolynomial((1.0, 1e10, 1e-300)), "z"),
 }
+# A finite quartic whose oracle roots are finite but |p(z)| at one of them
+# is past the float range: that residual counts as inf.
+ORACLE_RESIDUAL_OVERFLOW = format_polynomial(
+    RealPolynomial(
+        (
+            1.993546026223034e257,
+            -1.7087534109172123e282,
+            5.718896405594776e-66,
+            8.292901932355048e-245,
+            -3.9198780981366016e156,
+        )
+    ),
+    "z",
+)
 _NOT_FINITE = "the result for {} holds a non-finite number (inf or nan)"
 # Each kind of refusal: (command, expression, exit code, stderr text after "error: ").
 REFUSALS = {
@@ -67,6 +81,12 @@ REFUSALS = {
         ORACLE_OVERFLOWS["quadratic"],
         4,
         "oracle: coefficients must be finite, got inf",
+    ),
+    "oracle-residual-overflow": (
+        ["oracle"],
+        ORACLE_RESIDUAL_OVERFLOW,
+        4,
+        _NOT_FINITE.format(ORACLE_RESIDUAL_OVERFLOW),
     ),
     # The oracle's find_roots raises OverflowError("x") in the two "monkeypatched" rows.
     "oracle-monkeypatched-overflow": (["oracle"], "z^2 - 1", 4, "oracle: x"),
@@ -645,7 +665,7 @@ class TestResidualWarnings:
         outcomes = {"warned": 0, "silent": 0, "overflow": 0, "refused": 0}
         for p, rs, tolerance in _residual_cases(20261019, 20_000):
             if not all(map(cmath.isfinite, rs.roots)) or not all(map(math.isfinite, rs.residuals)):
-                rows = [(z.real, z.imag, r, "t") for z, r in zip(rs.roots, rs.residuals)]
+                rows = list(zip(rs.roots, rs.residuals, rs.branch_tags))
                 record = cli._record_dict(cli.format_polynomial(p), "split-closed-form", rows, None)
                 for mode in (False, True):
                     args = SimpleNamespace(json=mode)

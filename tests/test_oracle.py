@@ -356,8 +356,27 @@ def _quotient(p):
     return coeffs[zeros:], scale, zeros
 
 
+def _reference_polish(coeffs_rev, z, evaluate=horner_with_derivative):
+    """The earlier polish, frozen: each pass through ``evaluate``, ``poly_core.horner_with_derivative`` by default."""
+    p, dp = evaluate(coeffs_rev, z)
+    best = abs(p)
+    for _ in range(oracle._POLISH_STEPS):
+        if dp == 0:
+            break
+        candidate = z - p / dp
+        if candidate == z:  # a vanished step cannot lower the residual
+            break
+        cp, cdp = evaluate(coeffs_rev, candidate)
+        r = abs(cp)
+        if r < best:
+            z, best, p, dp = candidate, r, cp, cdp
+        else:
+            break
+    return z, best
+
+
 def _reference_find_roots(p):
-    """The earlier find_roots: the frozen sweep, every root polished, then all tested with ``zip``."""
+    """The earlier find_roots: the frozen sweep and polish, then every root tested with ``zip``."""
     quotient, scale, zeros = _quotient(p)
     coeffs_rev = tuple(reversed(p.monic().coefficients))
     n = p.degree
@@ -365,7 +384,7 @@ def _reference_find_roots(p):
         z, iterations_used = _reference_aberth(quotient, scale)
     else:
         z, iterations_used = [complex(-c, 0.0) for c in quotient[:-1]], 0
-    polished = [oracle._polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
+    polished = [_reference_polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
     z, residuals = zip(*polished)
     converged = all(
         r <= oracle._TOLERANCE * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
@@ -382,7 +401,7 @@ def _outcome(f, *args):
     """``f(*args)`` and its ``repr``, or ``None`` and the type of the error it raises."""
     try:
         result = f(*args)
-    except (ValueError, OverflowError) as err:
+    except (ValueError, ArithmeticError) as err:  # OverflowError and ZeroDivisionError included
         return None, type(err)
     return result, repr(result)
 
@@ -490,6 +509,12 @@ class TestMatchesReferenceOracle:
             # imaginary part, where the folded first steps keep a -0.0.
             ((1.0, 0.0, 1.0), [complex(math.inf, 1.0), 1j]),
             ((1.0, -0.0, -0.0, 1.0), [complex(-0.0, -1e-200), 1 + 1j, -1 + 1j]),
+            # Where a[n-1] is -0.0, a start with real part -0.0 and a negative
+            # imaginary part gives the third folded step a p' whose real part
+            # is -0.0 where the full recurrence's is 0.0, beside a nonzero
+            # imaginary part.
+            ((2.0, -0.0, 1.0), [complex(-0.0, -1.0), complex(-0.0, 3.0)]),
+            ((-2.0, -0.0, 1.0), [complex(-0.0, -1.0), complex(-0.0, -3.0)]),
         ],
     )
     def test_chosen_starts(self, monkeypatch, coeffs, start):
@@ -533,28 +558,30 @@ class TestMatchesReferenceOracle:
             ), roots
 
 
-def _counting_horner(monkeypatch) -> list[complex]:
-    """Record every point the oracle evaluates through ``horner_with_derivative``."""
+def _counting_evaluate() -> tuple[list[complex], object]:
+    """A ``horner_with_derivative`` that records every point it evaluates, and its record."""
     points: list[complex] = []
 
     def counting(coeffs_rev, z):
         points.append(z)
         return horner_with_derivative(coeffs_rev, z)
 
-    monkeypatch.setattr(oracle, "horner_with_derivative", counting)
-    return points
+    return points, counting
 
 
 class TestHornerPasses:
-    def test_polish_one_pass_per_point(self, monkeypatch):
+    def test_polish_one_pass_per_point(self):
         p = RealPolynomial((-3.1, 0.7, -2.0, 5.5, 1.25)).monic()
         coeffs_rev = tuple(reversed(p.coefficients))
         rng = random.Random(5)
         tried_more_than_start = 0
         for _ in range(200):
             z0 = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            points = _counting_horner(monkeypatch)
-            z, residual = oracle._polish(coeffs_rev, z0)
+            points, counting = _counting_evaluate()
+            z, residual = _reference_polish(coeffs_rev, z0, counting)
+            # The live polish runs its own recurrence: the same result, bit
+            # for bit.
+            assert repr(oracle._polish(coeffs_rev, z0)) == repr((z, residual))
             # One pass at the start, then one per candidate tried: each
             # candidate is a Newton step from the last point accepted, and
             # only the last candidate can have been rejected.
@@ -575,9 +602,21 @@ class TestHornerPasses:
         assert oracle._polish((1.0, 0.0, 1.0), 0j) == (0j, 1.0)
 
     def test_find_roots_does_not_reevaluate_polished_roots(self, monkeypatch):
+        live_polish = oracle._polish
         for coeffs in ((6.0, -7.0, 0.0, 1.0), (-3.1, 0.7, -2.0, 5.5, 1.25), (2.0, 0.0, 1.0)):
-            points = _counting_horner(monkeypatch)
-            result = find_roots(RealPolynomial(coeffs))
+            p = RealPolynomial(coeffs)
+            want = find_roots(p)
+            points, counting = _counting_evaluate()
+
+            def polish(coeffs_rev, z):
+                got = live_polish(coeffs_rev, z)
+                assert repr(got) == repr(_reference_polish(coeffs_rev, z, counting))
+                return got
+
+            monkeypatch.setattr(oracle, "_polish", polish)
+            result = find_roots(p)
+            monkeypatch.setattr(oracle, "_polish", live_polish)
+            assert repr(result) == repr(want)
             # The Aberth sweep has its own Horner loop; every pass left is
             # the polish, and a polished root was evaluated exactly once.
             assert len(set(points)) == len(points)
@@ -594,6 +633,75 @@ class TestHornerPasses:
             "complex + float kept an imaginary -0.0: recheck the folded Horner "
             "steps against the premise stated in the splitroots.oracle module docstring"
         )
+        # The third folded step can leave p' a zero part whose sign is not the
+        # full recurrence's, beside a nonzero part.  The sweep reads p' through
+        # p / p' alone, with every zero part of p a +0.0, and the quotient must
+        # not see that sign unless p is purely imaginary.
+        for p in (complex(3.0, 0.0), complex(3.0, -5.0), complex(0.0, 0.0) + 3.0):
+            for dp in (complex(0.0, 2.0), complex(0.0, -2.0), complex(2.0, 0.0), complex(-2.0, 0.0)):
+                flipped = complex(math.copysign(dp.real, -1.0) if not dp.real else dp.real,
+                                  math.copysign(dp.imag, -1.0) if not dp.imag else dp.imag)
+                assert repr(p / dp) == repr(p / flipped), (
+                    f"{p!r} / {dp!r} and / {flipped!r} differ: recheck the folded Horner "
+                    "steps against the premise stated in the splitroots.oracle module docstring"
+                )
+
+    def test_folded_sweep_steps_match_the_full_recurrence(self, monkeypatch):
+        # The sweep's three folded Horner steps, as oracle._aberth writes them
+        # for a finite z, give the full recurrence's p bit for bit and its p'
+        # up to the signs of zeros, on zero-heavy coefficients and on starts
+        # with +-0.0 parts; and one live sweep from those starts matches the
+        # frozen copy that runs the full recurrence.
+        def folded(coeffs_rev, z):
+            c1, c2, tail = coeffs_rev[1], coeffs_rev[2], coeffs_rev[3:]
+            p = z + c1
+            dp = z + p
+            p = p * z + c2
+            for c in tail:
+                dp = dp * z + p
+                p = p * z + c
+            return p, dp
+
+        def same_up_to_zero_signs(u, v):
+            return all(a == b or a != a and b != b for a, b in ((u.real, v.real), (u.imag, v.imag)))
+
+        def draw(rng, nonzero):
+            # Half of the draws a signed zero.
+            return rng.choice((0.0, -0.0)) if rng.random() < 0.5 else rng.choice(nonzero)
+
+        rng = random.Random(2424)
+        nonzero = (1.0, -1.0, 2.0, -3.5, 1e-200, -1e-200, 1e160, -1e160)
+        p_prime_signs = beside_nonzero = 0
+        for _ in range(1500):
+            degree = rng.randint(2, 6)
+            # The sweep's a[0] is nonzero.
+            coeffs = (rng.choice(nonzero),) + tuple(draw(rng, nonzero) for _ in range(degree - 1)) + (1.0,)
+            coeffs_rev = coeffs[::-1]
+            points = [complex(draw(rng, nonzero[:4]), draw(rng, nonzero[:6])) for _ in range(16)]
+            signed = []
+            for z in points:
+                p, dp = folded(coeffs_rev, z)
+                want_p, want_dp = horner_with_derivative(coeffs_rev, z)
+                assert repr(p) == repr(want_p), (coeffs, z)
+                assert same_up_to_zero_signs(dp, want_dp), (coeffs, z)
+                if repr(dp) != repr(want_dp):
+                    p_prime_signs += 1
+                    if dp:
+                        beside_nonzero += 1
+                        signed.append(z)
+            # The sweep starts where the signs of p' differ beside a nonzero
+            # part, if anywhere.
+            starts = (signed + points)[:degree]
+            monkeypatch.setattr(oracle, "_start_points", lambda coeffs: list(starts))
+            monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+            monkeypatch.setattr(oracle, "_LATE_SWEEPS", rng.choice((0, 25)))
+            for scale in (max(1.0, max(map(abs, coeffs))), 0.0):
+                got = _outcome(oracle._aberth, coeffs, scale)[1]
+                assert got == _outcome(_reference_aberth, coeffs, scale)[1], (coeffs, starts, scale)
+        # The fuzz reaches the signs the folds leave on p', also those beside
+        # a nonzero part, which the first two folded steps alone did not
+        # leave here.
+        assert p_prime_signs >= 100 and beside_nonzero >= 50
 
 
 def _reference_pair_roots(computed, reference):
