@@ -1,5 +1,7 @@
 """Value semantics of the exported record types and the CLI's output records."""
 
+import math
+
 import pytest
 
 from splitroots import (
@@ -116,6 +118,11 @@ class TestOutputRecords:
         )
         assert OutputRecord.from_dict(record.to_dict()) == record
         assert record != OutputRecord("z^2 - 1", "m")
+
+    def test_to_dict_gives_each_root_part_back_bit_for_bit(self):
+        parts = [(-0.0, 1.5), (2.0, -0.0), (5e-324, -3e300), (math.nan, -math.inf)]
+        record = OutputRecord("z", "m", [RootRecord(re, im, 0.5, "t") for re, im in parts])
+        assert repr([(r["re"], r["im"]) for r in record.to_dict()["roots"]]) == repr(parts)
 
     def test_fields_stay_assignable(self):
         record = OutputRecord("z", "m")
