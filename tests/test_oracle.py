@@ -637,10 +637,13 @@ class TestHornerPasses:
         # full recurrence's, beside a nonzero part.  The sweep reads p' through
         # p / p' alone, with every zero part of p a +0.0, and the quotient must
         # not see that sign unless p is purely imaginary.
-        for p in (complex(3.0, 0.0), complex(3.0, -5.0), complex(0.0, 0.0) + 3.0):
-            for dp in (complex(0.0, 2.0), complex(0.0, -2.0), complex(2.0, 0.0), complex(-2.0, 0.0)):
-                flipped = complex(math.copysign(dp.real, -1.0) if not dp.real else dp.real,
-                                  math.copysign(dp.imag, -1.0) if not dp.imag else dp.imag)
+        for p in (complex(3.0, 0.0), complex(3.0, -5.0)):
+            for dp, flipped in (
+                (complex(0.0, 2.0), complex(-0.0, 2.0)),
+                (complex(0.0, -2.0), complex(-0.0, -2.0)),
+                (complex(2.0, 0.0), complex(2.0, -0.0)),
+                (complex(-2.0, 0.0), complex(-2.0, -0.0)),
+            ):
                 assert repr(p / dp) == repr(p / flipped), (
                     f"{p!r} / {dp!r} and / {flipped!r} differ: recheck the folded Horner "
                     "steps against the premise stated in the splitroots.oracle module docstring"
