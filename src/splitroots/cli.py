@@ -297,11 +297,6 @@ def _report(p, variable, method, rs, rows, diagnostics, args, line) -> None:
     _residual_warnings(p, rs, args.tolerance, line)
 
 
-def _split_entry(system: _System, coeffs, x: float, y: float) -> dict:
-    sr = system.residual(*coeffs, x, y)
-    return {"system": system.name, "real_part": sr.real_part, "imag_part": sr.imag_part}
-
-
 # The oracle loads on first use, through the package's lazy ``oracle``
 # attribute, so a run that never consults it does not load it.  Callers look
 # these two names up as module globals at call time; nothing here rebinds them.
@@ -435,15 +430,17 @@ def cmd_split_system(args) -> int:
     if args.x is not None:
         lines.append(f"at: x = {_fmt_num(args.x)}, y = {_fmt_num(args.y)}")
         for system in spec.systems:
-            entry = _split_entry(system, coeffs, args.x, args.y)
+            sr = system.residual(*coeffs, args.x, args.y)
             lines += [
                 f"system {system.name} ({system.ansatz}):",
-                f"  real part: {_fmt_num(entry['real_part'])}",
-                f"  imag part: {_fmt_num(entry['imag_part'])}",
+                f"  real part: {_fmt_num(sr.real_part)}",
+                f"  imag part: {_fmt_num(sr.imag_part)}",
             ]
             if system.note:
                 lines.append(f"  {system.note}")
-            split_residuals.append(entry)
+            split_residuals.append(
+                {"system": system.name, "real_part": sr.real_part, "imag_part": sr.imag_part}
+            )
 
     if args.reduce and spec.reduction is not None:
         values = diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))
