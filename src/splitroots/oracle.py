@@ -27,7 +27,7 @@ purpose: a bug on a path the two shared would show up in both results alike,
 and the cross-check would not see it.
 
 The Aberth sweep runs the same Horner recurrence inline, its first three
-steps folded for a finite ``z``: the leading coefficient is ``1.0``, so they
+steps folded: the leading coefficient is ``1.0``, so they
 give ``p' = 1+0j`` and ``p = z + a[n-1]``, then ``p' = z + p`` and
 ``p = p z + a[n-2]``.  Folded and full steps differ only in the signs of
 zeros.  ``complex + float`` adds ``complex(c, 0.0)`` on CPython 3.13 and
@@ -47,8 +47,9 @@ the correction too differs at most in the signs of zero parts, and
 ``z - correction`` drops those wherever the matching part of ``z`` is not a
 zero.  Only a root on the imaginary axis whose correction has a zero real
 part could come out differently, as the sign of that zero.  A non-finite
-``z`` takes the full recurrence: there ``0 * inf`` makes ``p`` ``nan``,
-where the folded ``p`` could be ``inf`` and pass the late freeze.
+``z`` turns ``nan`` without the recurrence, as the full one makes it: its
+first step's ``0j * z`` is ``nan`` in both parts, and so are ``p``, ``p'``
+and the correction (folded, ``p`` could be ``inf`` and pass the late freeze).
 """
 
 from __future__ import annotations
@@ -130,14 +131,6 @@ def _polish(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, float]:
     return z, best
 
 
-def _find(parent: list[int], i: int) -> int:
-    """Root of ``i`` in the union-find forest ``parent``, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
 def _cluster_radii(roots: tuple[complex, ...]) -> tuple[float, ...]:
     n = len(roots)
     close = []
@@ -149,18 +142,15 @@ def _cluster_radii(roots: tuple[complex, ...]) -> tuple[float, ...]:
     if not close:
         return (0.0,) * n
 
-    parent = list(range(n))
+    # label[i] is the lowest index in root i's cluster.
+    label = list(range(n))
     for i, j in close:
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[rj] = ri
-
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(_find(parent, i), []).append(i)
+        low, high = sorted((label[i], label[j]))
+        label = [low if x == high else x for x in label]
 
     radii = [0.0] * n
-    for group in members.values():
+    for first in set(label):
+        group = [i for i in range(n) if label[i] == first]
         if len(group) == 1:
             continue
         centroid = sum(roots[i] for i in group) / len(group)
@@ -222,7 +212,7 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
     is within ``_TOLERANCE`` of its own modulus or is ``nan``, or once ``p``
     vanishes at it; after ``_LATE_SWEEPS`` sweeps it also freezes once ``|p|``
     at it meets the convergence test, with ``scale`` the largest of 1 and
-    ``|coeffs|``.
+    ``|coeffs|``.  A root that is not finite turns ``nan`` and freezes.
     Frozen roots still repel the others.  Returns the roots and the number of
     sweeps until every root froze, or ``_MAX_ITERATIONS``.
     """
@@ -240,21 +230,16 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
         still_active = []
         for k in active:
             zk = z[k]
-            # The Horner recurrence of _polish inlined: the same operations in
-            # the same order, the first three steps folded for a finite zk
-            # (module docstring).
-            if not zk - zk:  # zk finite
-                pk = zk + c1
-                dpk = zk + pk
-                pk = pk * zk + c2
-                for c in tail:
-                    dpk = dpk * zk + pk
-                    pk = pk * zk + c
-            else:
-                pk = dpk = 0j
-                for c in coeffs_rev:
-                    dpk = dpk * zk + pk
-                    pk = pk * zk + c
+            if zk - zk:  # zk not finite: p, p' and so z[k] turn nan (module docstring)
+                z[k] = complex(math.nan, math.nan)
+                continue
+            # _polish's Horner recurrence inlined, its first three steps folded.
+            pk = zk + c1
+            dpk = zk + pk
+            pk = pk * zk + c2
+            for c in tail:
+                dpk = dpk * zk + pk
+                pk = pk * zk + c
             if not pk or late and _meets_tolerance(abs(pk), zk, n, scale):
                 continue
             if dpk:

@@ -504,6 +504,21 @@ class TestJsonRecords:
         for row in data["rows"]:
             assert row["max_residual"] <= 1e-6
 
+    def test_bench_json_keys_compare_bench_reads(self, capsys):
+        # perfbench/compare_bench.py runs `bench --json --seed S --n N` and
+        # reads the closed-form row of each degree.
+        assert main(["bench", "--json", "--seed", "7", "--n", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["seed"], data["n"]) == (7, 2)
+        for degree in (2, 3, 4):
+            rows = [
+                row for row in data["rows"]
+                if row["method"] == "split-closed-form" and row["degree"] == degree
+            ]
+            assert len(rows) == 1, degree
+            assert rows[0]["n"] == 2
+            assert rows[0]["median_ns_per_solve"] > 0
+
 
 class _CountingJson:
     """Stands in for the json module in splitroots.cli, counting dumps calls."""

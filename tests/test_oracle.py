@@ -53,6 +53,12 @@ class TestFindRoots:
         result = find_roots(RealPolynomial((6.0, -7.0, 0.0, 1.0)))
         assert result.cluster_radii == (0.0, 0.0, 0.0)
 
+    def test_a_chain_of_close_roots_is_one_cluster(self):
+        # The ends are 1.8e-3 apart, over CLUSTER_DISTANCE, but each is close
+        # to the middle root; the radius is the ends' distance from the centroid.
+        radii = oracle._cluster_radii((0j, 9e-4 + 0j, 1.8e-3 + 0j))
+        assert radii[0] == radii[1] == radii[2] == pytest.approx(9e-4, rel=1e-12)
+
     def test_linear(self):
         result = find_roots(RealPolynomial((6.0, 3.0)))
         assert result.roots == (complex(-2.0, 0.0),)
@@ -504,7 +510,7 @@ class TestMatchesReferenceOracle:
             # z^2 + 3 from 1 and -1: the Newton step 2 times the repulsion
             # 1/2 is exactly 1, so the Aberth denominator vanishes.
             ((3.0, 0.0, 1.0), [1 + 0j, -1 + 0j]),
-            # A non-finite start, which takes the full Horner recurrence, and,
+            # A non-finite start, which turns nan without the recurrence, and,
             # where a[n-1] is -0.0, a start with real part -0.0 and a negative
             # imaginary part, where the folded first steps keep a -0.0.
             ((1.0, 0.0, 1.0), [complex(math.inf, 1.0), 1j]),
