@@ -8,11 +8,11 @@ circle per edge of the upper convex hull of ``(k, log|a_k|)``, with as many
 points as the edge is long, at the root modulus the edge predicts.  The
 sweeps are Gauss-Seidel (each root sees the roots already updated in the same
 sweep), and a root freezes once its correction is within ``_TOLERANCE`` of
-its own modulus, or is ``nan`` (nothing moves a ``nan`` root).  A root of a
-multiple zero may keep moving by far more than that, so after
-``_LATE_SWEEPS`` sweeps a root also freezes once its residual passes the
-convergence test below.  No randomness, no retries: a run that fails to
-converge is reported as such.
+its own modulus, or is ``nan`` (nothing moves a ``nan`` root), or where the
+fallback's product of root differences is 0.  A root of a multiple zero may
+keep moving by far more than that, so after ``_LATE_SWEEPS`` sweeps a root
+also freezes once its residual passes the convergence test below.  No
+randomness, no retries: a run that fails to converge is reported as such.
 
 A root converged when ``|p(z)| <= _TOLERANCE * scale * max(1, |z|)**n``, with
 ``scale`` the largest of 1 and the monic coefficients' moduli; where the
@@ -209,12 +209,13 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
 
     Gauss-Seidel sweeps: each root is updated in place, so the roots after it
     in the same sweep see its new value.  A root freezes once its correction
-    is within ``_TOLERANCE`` of its own modulus or is ``nan``, or once ``p``
-    vanishes at it; after ``_LATE_SWEEPS`` sweeps it also freezes once ``|p|``
-    at it meets the convergence test, with ``scale`` the largest of 1 and
-    ``|coeffs|``.  A root that is not finite turns ``nan`` and freezes.
-    Frozen roots still repel the others.  Returns the roots and the number of
-    sweeps until every root froze, or ``_MAX_ITERATIONS``.
+    is within ``_TOLERANCE`` of its own modulus or is ``nan``, or once ``p``,
+    or the fallback's product of root differences, vanishes at it; after
+    ``_LATE_SWEEPS`` sweeps it also freezes once ``|p|`` at it meets the
+    convergence test, with ``scale`` the largest of 1 and ``|coeffs|``.  A
+    root that is not finite turns ``nan`` and freezes.  Frozen roots still
+    repel the others.  Returns the roots and the number of sweeps until every
+    root froze, or ``_MAX_ITERATIONS``.
     """
     coeffs_rev = coeffs[::-1]
     c1, c2, tail = coeffs_rev[1], coeffs_rev[2], coeffs_rev[3:]
@@ -260,6 +261,8 @@ def _aberth(coeffs: tuple[float, ...], scale: float) -> tuple[list[complex], int
                     if not diff:
                         diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
                     prod *= diff
+                if not prod:
+                    continue
                 correction = pk / prod
             z[k] = zk - correction
             if abs(correction) > tolerance * abs(zk):

@@ -97,7 +97,7 @@ class RealPolynomial(_Record):
         return self.coefficients[-1]
 
     def monic(self) -> RealPolynomial:
-        coefficients = _monic_coefficients(self)
+        coefficients = _monic_coefficients(self.coefficients)
         return self if coefficients is self.coefficients else RealPolynomial._trusted(coefficients)
 
 
@@ -202,12 +202,12 @@ def derivative(p: RealPolynomial) -> RealPolynomial:
     return RealPolynomial(tuple(k * c for k, c in enumerate(p.coefficients) if k > 0))
 
 
-def _monic_coefficients(p: RealPolynomial) -> tuple[float, ...]:
-    """``p``'s coefficients over its leading one; ``p.coefficients`` itself if that is 1."""
-    lead = p.coefficients[-1]
+def _monic_coefficients(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """``coeffs``, lowest power first, over the last one; ``coeffs`` itself if that is 1."""
+    lead = coeffs[-1]
     if lead == 1.0:
-        return p.coefficients
-    return _require_finite(tuple([c / lead for c in p.coefficients]))
+        return coeffs
+    return _require_finite(tuple([c / lead for c in coeffs]))
 
 
 def _depress_monic_cubic(alpha: float, beta: float, gamma: float) -> tuple[float, float, float]:
@@ -230,7 +230,7 @@ def depress_cubic(p: RealPolynomial) -> DepressedCubic:
     """
     if p.degree != 3:
         raise ValueError(f"depress_cubic requires degree 3, got degree {p.degree}")
-    gamma, beta, alpha, _ = _monic_coefficients(p)
+    gamma, beta, alpha, _ = _monic_coefficients(p.coefficients)
     return DepressedCubic(*_depress_monic_cubic(alpha, beta, gamma))
 
 
@@ -248,7 +248,7 @@ def depress_quartic(p: RealPolynomial) -> DepressedQuartic:
     """Remove the cubic term of a quartic via ``w = z + alpha/4``."""
     if p.degree != 4:
         raise ValueError(f"depress_quartic requires degree 4, got degree {p.degree}")
-    delta, gamma, beta, alpha, _ = _monic_coefficients(p)
+    delta, gamma, beta, alpha, _ = _monic_coefficients(p.coefficients)
     s = alpha / 4.0
     s2 = s * s
     a = beta - 6.0 * s2

@@ -21,7 +21,7 @@ into a real two-equation system.  The systems used here:
   against the quartic's coefficients.
 
 When the depression shift of a cubic or quartic swamps its smallest root,
-:func:`solve` divides out the largest root and solves the quotient instead.
+``_undepress`` divides out the largest root and solves the quotient instead.
 
 Degree 5 is where the approach stops paying off: the analogous elimination
 no longer reduces the degree, so those inputs are rejected.
@@ -79,7 +79,7 @@ _HALF_SQRT3 = OMEGA.imag
 _THIRD_PI = math.pi / 3.0
 
 # A root with |im| <= _IMAG_SNAP * |re| is snapped onto the real axis (in
-# _finish) and counts as real when _deflate divides it out.
+# _finish) and counts as real when _undepress divides it out.
 _IMAG_SNAP = 1e-8
 # Newton polish runs only when the residual exceeds _POLISH_TRIGGER * scale.
 _POLISH_TRIGGER = 1e-12
@@ -88,7 +88,7 @@ _POLISH_TRIGGER = 1e-12
 _FACTOR_ULPS = 4.0
 _EPS = 2.0**-53
 # A root of a cubic or quartic under this fraction of the depression shift
-# has lost its digits to the shift; solve() then deflates the polynomial.
+# has lost its digits to the shift; _undepress then deflates the polynomial.
 _DEFLATE_BELOW = 1e-3
 
 # Branch tags that depend on a branch sign or a resolvent root index, built
@@ -375,18 +375,6 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
     return [complex(real, 0.0), complex(x, -y), complex(x, y)], _OMEGA_TAGS[branch]
 
 
-def _shifted_omega_cubic(
-    c2: float, c1: float, c0: float
-) -> tuple[list[complex], tuple[str, ...], float]:
-    """Unpolished roots of ``t**3 + c2*t**2 + c1*t + c0``, their tags and the shift.
-
-    The roots are the omega roots of its depression in ``w = t + shift``.
-    """
-    a, b, s = _depress_monic_cubic(c2, c1, c0)
-    roots, tags = _omega_cubic(a, b)
-    return [w - s for w in roots], tags, s
-
-
 def solve_depressed_cubic(dc: DepressedCubic) -> tuple[list[complex], tuple[str, ...]]:
     """Unpolished roots of ``w**3 + a*w + b`` via the omega ansatz, and their tags."""
     return _omega_cubic(dc.a, dc.b)
@@ -484,7 +472,8 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> tuple[list[complex], tuple[
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
     # The resolvent's real roots, largest first, are those whose imaginary
     # part is rounding next to the largest root.
-    t0, t1, t2 = _shifted_omega_cubic(r2, r1, r0)[0]
+    ra, rb, shift = _depress_monic_cubic(r2, r1, r0)
+    t0, t1, t2 = [t - shift for t in _omega_cubic(ra, rb)[0]]
     cut = 1e-7 * max(1.0, abs(t0), abs(t1), abs(t2))
     candidates = [(t0.real, 0)] if abs(t0.imag) <= cut else []
     if abs(t1.imag) <= cut:
@@ -509,21 +498,27 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> tuple[list[complex], tuple[
     return [z0, z1, z2, z3], _RESOLVENT_TAGS[best_j]
 
 
-def _deflate(
-    c: Sequence[float], roots: Sequence[complex], tags: Sequence[str]
+def _undepress(
+    coeffs: tuple[float, ...], roots: Sequence[complex], tags: Sequence[str], shift: float
 ) -> tuple[Sequence[complex], Sequence[str]]:
-    """Keep the largest of ``roots`` (and its conjugate) and solve the rest anew.
+    """``roots`` of a depression in ``w = z + shift`` moved back to ``z``, and their tags.
 
-    ``c`` is a monic cubic or quartic, constant first, and ``roots`` are its
-    roots from a depression whose shift swamped the smallest of them.  The
-    largest root is divided out constant term first, which damps its error
-    (backward deflation), and the quotient is solved in closed form, deflated
-    again while its own shift swamps its smallest root.  Each root keeps the
-    tag of the branch that produced it; a cubic's real root left by its
-    largest pair is ``-c[0]`` over the pair's product, and keeps its own tag.
-    The roots are returned as they came when the largest one's square is not
-    a normal float, or when a deflated root is not finite.
+    ``coeffs`` is the cubic or quartic, constant first.  Where the shift
+    swamps the smallest root, the largest root (and its conjugate) is kept and
+    divided out of the monic form constant term first, which damps its error
+    (backward deflation); the quotient is solved in closed form, a cubic one
+    through this same step.  Each root keeps the tag of the branch that
+    produced it; a cubic's real root left by its largest pair is ``-c[0]``
+    over the pair's product, and keeps its own tag.  The moved roots are
+    returned as they are when the largest one's square is not a normal
+    float, or a deflated root is not finite.
     """
+    roots = [w - shift for w in roots]
+    small = _DEFLATE_BELOW * abs(shift)
+    # roots[-1] is a quartic's fourth root, or a cubic's third again.
+    if not (abs(roots[0]) < small or abs(roots[1]) < small or abs(roots[2]) < small or abs(roots[-1]) < small):
+        return roots, tags
+    c = _monic_coefficients(coeffs)
     k = max(range(len(roots)), key=lambda j: abs(roots[j]))
     r = roots[k]
     if not 1e-150 < abs(r) < 1e150:
@@ -547,9 +542,8 @@ def _deflate(
     elif len(q) == 2:
         rest, rest_tags = _quadratic_roots(q[1], q[0])
     else:
-        rest, rest_tags, s = _shifted_omega_cubic(q[2], q[1], q[0])
-        if min(map(abs, rest)) < _DEFLATE_BELOW * abs(s):
-            rest, rest_tags = _deflate((*q, 1.0), rest, rest_tags)
+        a, b, s = _depress_monic_cubic(q[2], q[1], q[0])
+        rest, rest_tags = _undepress((*q, 1.0), *_omega_cubic(a, b), s)
     if not all(map(cmath.isfinite, rest)):
         return roots, tags
     return [*kept, *rest], (*kept_tags, *rest_tags)
@@ -572,9 +566,9 @@ def solve(p: RealPolynomial) -> RootSet:
         raise UnsupportedDegreeError(degree)
 
     if degree == 1:
-        roots, tags = [complex(-_monic_coefficients(p)[0], 0.0)], ("linear",)
+        roots, tags = [complex(-_monic_coefficients(coeffs)[0], 0.0)], ("linear",)
     elif degree == 2:
-        b, a, _ = _monic_coefficients(p)
+        b, a, _ = _monic_coefficients(coeffs)
         inner = solve_quadratic(a, b)
         if coeffs[-1] == 1.0:
             return inner
@@ -589,12 +583,7 @@ def solve(p: RealPolynomial) -> RootSet:
         dep = depress_quartic(p)
         roots, tags = solve_depressed_quartic(dep)
     if degree >= 3:
-        shift = dep.shift
-        roots = [z - shift for z in roots]
-        small = _DEFLATE_BELOW * abs(shift)
-        # roots[-1] is a quartic's fourth root, or a cubic's third again.
-        if abs(roots[0]) < small or abs(roots[1]) < small or abs(roots[2]) < small or abs(roots[-1]) < small:
-            roots, tags = _deflate(_monic_coefficients(p), roots, tags)
+        roots, tags = _undepress(coeffs, roots, tags, dep.shift)
 
     scale = max(1.0, max(map(abs, coeffs)))
     return _finish(coeffs[::-1], scale, roots, tags)

@@ -461,6 +461,13 @@ class TestJsonRecords:
         assert res == pytest.approx([(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
         assert data["diagnostics"]["oracle_max_pairing_distance"] <= 1e-10
 
+    def test_schema_example_is_what_solve_prints(self, capsys):
+        # docs/output-schema.md's example record, byte for byte.
+        schema = (pathlib.Path(__file__).parents[1] / "docs" / "output-schema.md").read_text()
+        example = schema.split("## Output record\n\n```json\n", 1)[1].split("```", 1)[0]
+        assert main(["solve", "z^3 - 7z + 6", "--json"]) == 0
+        assert capsys.readouterr().out == example
+
     def test_roots_sorted_descending(self, capsys):
         main(["solve", "z^3 - 7z + 6", "--json"])
         data = json.loads(capsys.readouterr().out)

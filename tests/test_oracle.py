@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from splitroots import oracle, solve
+from splitroots.cli import main
 from splitroots.oracle import (
     find_roots,
     max_pairing_distance,
@@ -207,6 +208,22 @@ class TestStartAndStop:
         assert result.converged
         assert max_pairing_distance(result.roots, [2 + 0j, -2 + 0j]) <= 1e-12
 
+    def test_underflowing_product_correction_freezes_the_root(self, monkeypatch, capsys):
+        # z^3 - 1 from 0 and 1e-170 (+i): p' is exactly 0 at each start, and
+        # the product of its distances to the others (about 1e-340)
+        # underflows to 0.  Each root freezes where it is instead of raising
+        # ZeroDivisionError.
+        starts = [0j, 1e-170 + 0j, 1e-170j]
+        monkeypatch.setattr(oracle, "_start_points", lambda coeffs: list(starts))
+        result = find_roots(RealPolynomial((-1.0, 0.0, 0.0, 1.0)))
+        assert result.roots == tuple(starts) and result.iterations_used == 1
+        assert not result.converged
+        assert all(map(cmath.isfinite, result.roots))
+        assert main(["oracle", "z^3 - 1"]) == 0
+        captured = capsys.readouterr()
+        assert "converged: false" in captured.out
+        assert "Traceback" not in captured.err and "error" not in captured.err
+
 
 class TestConvergenceTest:
     # max(1, |z|)**n leaves the float range for these finite roots; the
@@ -344,6 +361,8 @@ def _reference_aberth(coeffs, scale):
                     if diff == 0:
                         diff = complex(1e-12 * (1.0 + abs(zk)), 0.0)
                     prod *= diff
+                if not prod:
+                    continue
                 correction = pk / prod
             z[k] = zk - correction
             if abs(correction) > oracle._TOLERANCE * abs(zk):

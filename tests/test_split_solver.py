@@ -518,16 +518,20 @@ class TestDeflation:
 
     def test_unusable_largest_root_leaves_the_roots(self):
         # A largest root whose square is not a normal float is not divided
-        # out.
+        # out; the shift 1.0 swamps the root 0 and fires the trigger, and
+        # the roots come back moved by it.
+        depressed = [complex(1e200, 0.0), 1 + 1j, 1 - 1j, 1 + 0j]
         roots = [complex(1e200, 0.0), 1j, -1j, 0j]
-        assert split_solver._deflate((0.0, 1.0, 0.0, 1.0, 1.0), roots, "abcd") == (roots, "abcd")
+        assert split_solver._undepress((0.0, 1.0, 0.0, 1.0, 1.0), depressed, "abcd", 1.0) == (roots, "abcd")
 
     def test_non_finite_quotient_leaves_the_roots(self):
-        # Dividing z^3 + 1e308 by the root 1e-3 overflows the quotient, whose
-        # roots are then not finite.
-        roots, tags = [1e-3 + 0j, 1e-4 + 0j, 1e-5 + 0j], ("a", "b", "c")
-        kept_roots, kept_tags = split_solver._deflate((1e308, 0.0, 0.0, 1.0), roots, tags)
-        assert kept_roots is roots and kept_tags is tags
+        # Dividing z^3 + 1e308 by the root 2^-10 overflows the quotient, whose
+        # roots are then not finite.  The shift 2^-3 swamps the roots 2^-14
+        # and 2^-17, and the roots come back moved by it, exactly.
+        roots, tags = [complex(2.0**-10), complex(2.0**-14), complex(2.0**-17)], ("a", "b", "c")
+        depressed = [z + 2.0**-3 for z in roots]
+        kept_roots, kept_tags = split_solver._undepress((1e308, 0.0, 0.0, 1.0), depressed, tags, 2.0**-3)
+        assert kept_roots == roots and kept_tags is tags
 
 
 class TestScaleExtremes:
@@ -1079,7 +1083,7 @@ class TestFinishBitIdentity:
         for fn, args in FUZZ_CALLS:
             if fn is solve and args[0].degree <= 2:
                 p = args[0]
-                assert _outcome(lambda: _monic_coefficients(p), ()) == _outcome(
+                assert _outcome(lambda: _monic_coefficients(p.coefficients), ()) == _outcome(
                     lambda: p.monic().coefficients, ()
                 )
 
@@ -1239,7 +1243,8 @@ def _reference_solve_depressed_quartic(dq):
     _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
-    t_roots = split_solver._shifted_omega_cubic(r2, r1, r0)[0]
+    ra, rb, shift = _depress_monic_cubic(r2, r1, r0)
+    t_roots = [w - shift for w in split_solver._omega_cubic(ra, rb)[0]]
     cut = 1e-7 * max(1.0, *map(abs, t_roots))
     candidates = sorted([(t.real, j) for j, t in enumerate(t_roots) if abs(t.imag) <= cut], reverse=True)
     best, best_j = (math.inf, math.nan, math.nan, math.nan), 0
@@ -1279,7 +1284,8 @@ def _quartic_corpus():
 class TestQuarticCandidatePick:
     def test_double_resolvent_root_ties(self):
         _, r2, r1, r0 = quartic_resolvent_coefficients(4.0, 1e-8, 4.0)
-        t0, t1, _ = split_solver._shifted_omega_cubic(r2, r1, r0)[0]
+        ra, rb, shift = _depress_monic_cubic(r2, r1, r0)
+        t0, t1, _ = [w - shift for w in split_solver._omega_cubic(ra, rb)[0]]
         assert t0.real == t1.real and abs(t0.imag) <= 1e-7 and abs(t1.imag) <= 1e-7
 
     def test_matches_the_reference(self):
@@ -1290,6 +1296,106 @@ class TestQuarticCandidatePick:
             # The first tag's family ("resolvent-root-1", ...), or the error.
             reached.add((got.split("'")[1] if got.startswith("(") else got).split(":")[0])
         assert {"biquadratic-0", "resolvent-root-0", "resolvent-root-1", "resolvent-root-2", "ValueError"} <= reached
+
+
+# ---------------------------------------------------------------------------
+# reference: moving roots back and deflating before _undepress
+# ---------------------------------------------------------------------------
+
+
+def _reference_shifted_omega_cubic(c2, c1, c0):
+    # The omega roots of t^3 + c2 t^2 + c1 t + c0's depression in w = t + s,
+    # moved back to t, their tags and s.
+    a, b, s = _depress_monic_cubic(c2, c1, c0)
+    roots, tags = split_solver._omega_cubic(a, b)
+    return [w - s for w in roots], tags, s
+
+
+def _reference_deflate(c, roots, tags, log):
+    # The deflation step as it ran behind solve()'s trigger, with its own
+    # test for a cubic quotient; log gets "again" where that test fired.
+    k = max(range(len(roots)), key=lambda j: abs(roots[j]))
+    r = roots[k]
+    if not 1e-150 < abs(r) < 1e150:
+        return roots, tags
+    if abs(r.imag) <= split_solver._IMAG_SNAP * abs(r.real):
+        x = r.real
+        kept, kept_tags = [complex(x, 0.0)], (tags[k],)
+        q = [-c[0] / x]
+        for ck in c[1:-2]:
+            q.append((q[-1] - ck) / x)
+    else:
+        m = min((j for j in range(len(roots)) if j != k), key=lambda j: abs(roots[j] - r.conjugate()))
+        kept, kept_tags = [r, r.conjugate()], (tags[k], tags[m])
+        u, v = -2.0 * r.real, r.real * r.real + r.imag * r.imag
+        q = [c[0] / v]
+        if len(c) == 5:
+            q.append((c[1] - u * q[0]) / v)
+    if len(q) == 1:
+        rest, rest_tags = [complex(-q[0], 0.0)], (tags[3 - k - m],)
+    elif len(q) == 2:
+        rest, rest_tags = split_solver._quadratic_roots(q[1], q[0])
+    else:
+        rest, rest_tags, s = _reference_shifted_omega_cubic(q[2], q[1], q[0])
+        if min(map(abs, rest)) < split_solver._DEFLATE_BELOW * abs(s):
+            log.append("again")
+            rest, rest_tags = _reference_deflate((*q, 1.0), rest, rest_tags, log)
+    if not all(map(cmath.isfinite, rest)):
+        return roots, tags
+    return [*kept, *rest], (*kept_tags, *rest_tags)
+
+
+def _reference_undepress(coeffs, roots, tags, shift, log):
+    # solve()'s translation and trigger as they were; log gets "fired" where
+    # the trigger fired.
+    roots = [z - shift for z in roots]
+    small = split_solver._DEFLATE_BELOW * abs(shift)
+    if abs(roots[0]) < small or abs(roots[1]) < small or abs(roots[2]) < small or abs(roots[-1]) < small:
+        log.append("fired")
+        roots, tags = _reference_deflate(_monic_coefficients(coeffs), roots, tags, log)
+    return roots, tags
+
+
+def _wide_root_polynomial(rng: random.Random, degree: int) -> RealPolynomial:
+    # Real roots and conjugate pairs of moduli log-uniform in 1e+-40, times a
+    # leading coefficient log-uniform in 1e+-3.
+    def modulus():
+        return 10.0 ** rng.uniform(-40.0, 40.0)
+
+    roots = []
+    while len(roots) < degree:
+        if len(roots) <= degree - 2 and rng.random() < 0.5:
+            z = cmath.rect(modulus(), rng.uniform(0.0, math.pi))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(complex(rng.choice((-1.0, 1.0)) * modulus(), 0.0))
+    coeffs = [complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0), 0.0)]
+    for r in roots:
+        coeffs = [0j, *coeffs]
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return RealPolynomial(tuple(c.real for c in coeffs))
+
+
+class TestUndepress:
+    def test_matches_the_reference(self):
+        # Depressed cubics and quartics with roots spread over 80 decades:
+        # the shift often swamps the smallest roots, and after a quartic's
+        # largest root a cubic quotient's own shift often swamps its smallest.
+        rng = random.Random(20261021)
+        log = []
+        for degree, depress, inner in ((3, depress_cubic, solve_depressed_cubic), (4, depress_quartic, solve_depressed_quartic)):
+            for _ in range(1500):
+                p = _wide_root_polynomial(rng, degree)
+                try:
+                    dep = depress(p)
+                    roots, tags = inner(dep)
+                except ValueError:
+                    continue
+                args = p.coefficients, roots, tags, dep.shift
+                got = _outcome(split_solver._undepress, args)
+                assert got == _outcome(_reference_undepress, (*args, log)), p
+        assert log.count("fired") >= 100 and log.count("again") >= 20
 
 
 class TestReturnedRootSets:
