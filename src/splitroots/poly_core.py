@@ -171,10 +171,16 @@ def evaluate(p: RealPolynomial, z: complex) -> complex:
     return acc
 
 
-def horner_with_derivative(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, complex]:
-    """One Horner pass returning ``(p(z), p'(z))``; coefficients highest power first."""
-    value = 0j
-    deriv = 0j
+def horner_with_derivative(
+    coeffs_rev: tuple[float, ...], z: complex | float
+) -> tuple[complex | float, complex | float]:
+    """One Horner pass returning ``(p(z), p'(z))``; coefficients highest power first.
+
+    A float ``z`` gives floats.  A complex one gives a ``0j`` start's results bit
+    for bit: Python 3.10-3.13 promote the float ``0.0`` to ``0j`` against a complex.
+    """
+    value = 0.0
+    deriv = 0.0
     for c in coeffs_rev:
         deriv = deriv * z + value
         value = value * z + c

@@ -210,10 +210,13 @@ def quartic_resolvent_coefficients(a: float, b: float, c: float) -> tuple[float,
 
 def _polish_root(
     coeffs_rev: tuple[float, ...], z: complex, scale: float, residual: float
-) -> tuple[complex, float]:
+) -> tuple[complex | float, float]:
     # Newton steps from a root whose residual |p(z)| is over the trigger
     # (_finish calls it for no other), each kept only if the residual drops;
-    # a kept step's evaluation supplies the next value and derivative.
+    # a kept step's evaluation supplies the next value and derivative.  A real
+    # root steps in real arithmetic and is returned as a float (see _finish).
+    if z.imag == 0.0:
+        z = z.real
     value, deriv = horner_with_derivative(coeffs_rev, z)
     for _ in range(8):
         if deriv == 0:
@@ -238,7 +241,9 @@ def _finish(
     # the real axis, normalize -0.0 components and build the RootSet through
     # _trusted (complex roots, float residuals).  Each residual is horner_abs's
     # to the bit (see there): a real root's takes real Horner steps unless it
-    # overflows, and the second of an exactly conjugate pair reuses the first's.
+    # overflows (then horner_abs's inf or nan is reported), and the second of an
+    # exactly conjugate pair reuses the first's.  A root _polish_root returns as
+    # a float becomes complex again at complex(x + 0.0, im + 0.0) below.
     trigger = _POLISH_TRIGGER * scale
     out_roots: list[complex] = []
     out_residuals: list[float] = []

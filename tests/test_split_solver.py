@@ -378,18 +378,8 @@ class TestSolveDispatch:
             return horner_with_derivative(coeffs_rev, z)
 
         monkeypatch.setattr(split_solver, "horner_with_derivative", counting)
-        rng = random.Random(41)
         polished = unpolished = resolvent = 0
-        for k in range(600):
-            degree = 3 + k % 2
-            if k % 3:
-                coeffs = tuple(
-                    rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
-                    for _ in range(degree + 1)
-                )
-            else:
-                coeffs = tuple(rng.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,)
-            p = RealPolynomial(coeffs)
+        for p in _every_path_polynomials():
             full_passes[0] = 0
             rs = solve(p)
             if full_passes[0]:
@@ -400,6 +390,32 @@ class TestSolveDispatch:
             for z, r in zip(rs.roots, rs.residuals):
                 assert r == abs(evaluate(p, z))
         assert polished >= 50 and unpolished >= 50 and resolvent >= 100
+
+    def test_real_roots_are_polished_at_float_points(self, monkeypatch):
+        # A real root's Newton steps evaluate p at float points only, a
+        # complex root's at complex points only.
+        polish = split_solver._polish_root
+        points = {True: set(), False: set()}
+        polishes = {True: 0, False: 0}
+        real = [None]
+
+        def polishing(coeffs_rev, z, scale, residual):
+            real[0] = z.imag == 0.0
+            polishes[real[0]] += 1
+            result = polish(coeffs_rev, z, scale, residual)
+            real[0] = None
+            return result
+
+        def recording(coeffs_rev, z):
+            points.setdefault(real[0], set()).add(type(z))
+            return horner_with_derivative(coeffs_rev, z)
+
+        monkeypatch.setattr(split_solver, "_polish_root", polishing)
+        monkeypatch.setattr(split_solver, "horner_with_derivative", recording)
+        for p in _every_path_polynomials():
+            solve(p)
+        assert points == {True: {float}, False: {complex}}
+        assert polishes[True] >= 100 and polishes[False] >= 20
 
     @given(
         st.integers(min_value=2, max_value=4),
@@ -426,6 +442,21 @@ class TestSolveDispatch:
             for z in roots:
                 partner = min(roots, key=lambda w: abs(w - z.conjugate()))
                 assert abs(partner - z.conjugate()) <= 1e-7 * (1.0 + abs(z))
+
+
+def _every_path_polynomials():
+    # 600 seeded cubics and quartics: a third monic with coefficients uniform
+    # in [-10, 10], the rest with every coefficient +-10**u, u in [-6, 6].
+    rng = random.Random(41)
+    polys = []
+    for k in range(600):
+        degree = 3 + k % 2
+        if k % 3:
+            coeffs = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(degree + 1))
+        else:
+            coeffs = tuple(rng.uniform(-10.0, 10.0) for _ in range(degree)) + (1.0,)
+        polys.append(RealPolynomial(coeffs))
+    return polys
 
 
 def _fails_check(p: RealPolynomial, roots) -> bool:
@@ -1222,6 +1253,49 @@ class TestFinishResidualPaths:
             assert repr(got) == repr((want, want)), (coeffs_rev, x, y)
             pairs += 1
         assert passes[0] == pairs >= 5000
+
+
+def _reference_horner_with_derivative(coeffs_rev, z):
+    # horner_with_derivative as it was when it started from 0j: every step
+    # in complex arithmetic, whatever the type of z.
+    value = 0j
+    deriv = 0j
+    for c in coeffs_rev:
+        deriv = deriv * z + value
+        value = value * z + c
+    return value, deriv
+
+
+class TestHornerPointType:
+    # horner_with_derivative starts from 0.0, so the point's type sets the
+    # arithmetic.  _polish_root's real-root steps rest on the two facts below.
+
+    def test_complex_points_match_the_complex_start(self):
+        mismatches = [
+            (coeffs_rev, z)
+            for coeffs_rev, x, y in RESIDUAL_CORPUS
+            for z in (complex(x, y), complex(x, 0.0))
+            if repr(horner_with_derivative(coeffs_rev, z)) != repr(_reference_horner_with_derivative(coeffs_rev, z))
+        ]
+        assert mismatches == []
+
+    def test_real_points_give_the_real_parts(self):
+        # Wherever the complex evaluation at complex(x, 0.0) has a finite
+        # real part, the float evaluation at x equals it bit for bit and the
+        # imaginary part is zero; where it is not finite, neither is the float.
+        non_finite = 0
+        for coeffs_rev, x, _ in RESIDUAL_CORPUS:
+            got = horner_with_derivative(coeffs_rev, x)
+            want = _reference_horner_with_derivative(coeffs_rev, complex(x, 0.0))
+            for g, w in zip(got, want):
+                assert type(g) is float
+                if math.isfinite(w.real):
+                    assert repr(g) == repr(w.real) and w.imag == 0.0, (coeffs_rev, x)
+                else:
+                    assert not math.isfinite(g), (coeffs_rev, x)
+                    assert not math.isfinite(abs(w)), (coeffs_rev, x)
+                    non_finite += 1
+        assert non_finite >= 1000
 
 
 # ---------------------------------------------------------------------------
