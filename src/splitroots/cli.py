@@ -322,7 +322,7 @@ def _solve_one(text: str, args, line: int | None) -> None:
     p, variable = _parse(text)
     try:
         rs = solve(p)
-    except ValueError as err:  # UnsupportedDegreeError included
+    except (ValueError, OverflowError) as err:  # UnsupportedDegreeError included
         code = _EXIT_DEGREE if isinstance(err, UnsupportedDegreeError) else _EXIT_NOT_FINITE
         raise _Refused(code, str(err)) from None
 

@@ -325,12 +325,13 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
     cube root of ``x^3`` in ``cmath.polar`` angle order, ``(arg(x^3) +
     2*pi*k)/3``:
 
-    * ``x^3`` real (``disc = b^2/4 + a^3/27 >= 0``): with ``r`` its real cube
-      root and ``u = a/(3r)``, the real root is ``u - r`` (k = 2 when ``x^3 >
-      0``, k = 0 when ``x^3 < 0``) and the pair is ``-(u - r)/2 -+
-      i*(sqrt(3)/2)*(r + u)``, in that order.
-    * ``x^3`` complex (``disc < 0``, three real roots): ``|x|^2 = -a/3``, so
-      the root from ``x = |x|*e^(i*phi)`` is ``2*sqrt(-a/3)*cos(phi - pi/3)``.
+    * ``x^3`` real (``disc = b^2/4 + a^3/27 >= 0``): ``b/2 + sqrt(disc)``
+      (``:+``) if ``b >= 0``, else ``b/2 - sqrt(disc)`` (``:-``), the branch
+      that does not cancel.  With ``r`` its real cube root and ``u = a/(3r)``,
+      the real root is ``u - r`` (k = 2 when ``x^3 > 0``, k = 0 when ``x^3 <
+      0``) and the pair is ``-(u - r)/2 -+ i*(sqrt(3)/2)*(r + u)``, in order.
+    * ``x^3`` complex (``disc < 0``, three real roots, ``:+``): the root from
+      ``x = |x|*e^(i*phi)``, ``|x|^2 = -a/3``, is ``2|x|*cos(phi - pi/3)``.
 
     A small root that cancels in these forms comes from the product of the
     roots, ``-b``, instead.
@@ -355,11 +356,7 @@ def _omega_cubic(a: float, b: float) -> tuple[list[complex], tuple[str, ...]]:
         return [complex(w0, 0.0), complex(-b / (w0 * w2), 0.0), complex(w2, 0.0)], _OMEGA_TAGS["+"]
 
     sqrt_disc = math.sqrt(disc)
-    x_cubed = 0.5 * b + sqrt_disc
-    branch = "+"
-    if abs(x_cubed) < 1e-300:
-        x_cubed = 0.5 * b - sqrt_disc
-        branch = "-"
+    x_cubed, branch = (0.5 * b + sqrt_disc, "+") if b >= 0.0 else (0.5 * b - sqrt_disc, "-")
     if abs(x_cubed) < 1e-300:
         # Both branches vanished: b ~ 0 and a**3 underflowed, so the equation
         # is effectively w*(w**2 + a) = 0; solve that form directly.
@@ -561,7 +558,9 @@ def solve(p: RealPolynomial) -> RootSet:
     systems; their branch roots are translated back and polished once,
     against the original polynomial.  A monic quadratic's roots are returned
     as :func:`solve_quadratic` gives them: it already polished and scored
-    them against the same coefficients.
+    them against the same coefficients.  Raises ``ValueError`` (degree 0 or
+    over 4, or an overflowing intermediate such as the monic form) and
+    ``OverflowError`` (a finite root's ``|p(z)|`` past the float range).
     """
     coeffs = p.coefficients
     degree = len(coeffs) - 1

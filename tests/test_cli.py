@@ -48,6 +48,20 @@ ORACLE_RESIDUAL_OVERFLOW = format_polynomial(
     ),
     "z",
 )
+# A finite quartic on which solve() raises OverflowError: |p(z)| at one of
+# its roots is past the float range in the residual pass.
+SOLVE_RESIDUAL_OVERFLOW = format_polynomial(
+    RealPolynomial(
+        (
+            -2.5542515281230347e-109,
+            4.1971665759261885e304,
+            -6.830302100826204e280,
+            -4.92778330520093e-118,
+            7.997663047149106e244,
+        )
+    ),
+    "z",
+)
 _NOT_FINITE = "the result for {} holds a non-finite number (inf or nan)"
 # Each kind of refusal: (command, expression, exit code, stderr text after "error: ").
 REFUSALS = {
@@ -70,6 +84,7 @@ REFUSALS = {
         4,
         "resolvent coefficients must be finite, got (1.0, -inf, nan, nan)",
     ),
+    "solve-residual-overflow": (["solve"], SOLVE_RESIDUAL_OVERFLOW, 4, "absolute value too large"),
     "oracle-overflow": (
         ["oracle"],
         ORACLE_OVERFLOWS["cubic"],
@@ -194,6 +209,18 @@ class TestExitCodes:
             f"  {text}",
             "  " + " " * column + "^",
         ]
+
+    def test_leading_minus_needs_the_double_dash(self, capsys):
+        # argparse takes a spaceless argument that starts with "-" for an
+        # option; "--" ends the options, and "-z^2 + 1" (with a space) is
+        # read as the expression.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "-z^2+1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: -z^2+1" in capsys.readouterr().err
+        assert main(["solve", "--json", "--", "-z^2+1"]) == 0
+        roots = [(r["re"], r["im"]) for r in json.loads(capsys.readouterr().out)["roots"]]
+        assert roots == [(1.0, 0.0), (-1.0, 0.0)]
 
     def test_unsupported_degree_is_3(self, capsys):
         assert main(["solve", "z^5 + 1"]) == 3

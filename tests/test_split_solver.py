@@ -139,6 +139,16 @@ class TestDepressedCubic:
         rs = solve(_depressed(0.0, 0.0))
         assert rs.roots == (0j, 0j, 0j)
 
+    def test_negative_b_cubic_matches_its_reference(self):
+        # Depressed, b < 0 and a^3/27 is small against b^2/4; the cancelling
+        # branch gave 0.2765 for the real root (34 % off, residual 0.91).
+        # The reference is mpmath 1.3.0 polyroots at 50 digits, rounded.
+        p = RealPolynomial((-1.2736475116857366, -2.682088781442138e-05, 0.0013130351493420877, 16.973170351013604))
+        pair = complex(-0.21092099793898142, 0.3652790555946512)
+        want = [complex(0.42176463642641737, 0.0), pair, pair.conjugate()]
+        roots = sorted(solve(p).roots, key=lambda z: (z.imag != 0.0, -z.imag))
+        assert all(abs(z - w) <= 1e-15 * abs(w) for z, w in zip(roots, want)), roots
+
     def test_one_real_two_complex(self):
         rs = solve(_depressed(1.0, 1.0))  # z^3 + z + 1
         real = [z for z in rs.roots if z.imag == 0.0]
@@ -162,13 +172,11 @@ def _reference_omega_cubic(a, b):
     # w = (1 - omega)*x - omega*a/(3x) over the three complex cube roots of
     # one quadratic-formula branch for x^3, as _omega_cubic computed it with
     # cmath.polar and cmath.rect; the a == 0 and near-origin paths are left out.
+    # A real x^3 comes from the branch whose sign matches b's, so it never
+    # cancels; a complex one (disc < 0) cannot cancel and takes "+".
     disc = 0.25 * b * b + a * a * a / 27.0
     sqrt_disc = cmath.sqrt(complex(disc, 0.0))
-    x_cubed = 0.5 * b + sqrt_disc
-    branch = "+"
-    if abs(x_cubed) < 1e-300:
-        x_cubed = 0.5 * b - sqrt_disc
-        branch = "-"
+    x_cubed, branch = (0.5 * b + sqrt_disc, "+") if b >= 0.0 or disc < 0.0 else (0.5 * b - sqrt_disc, "-")
     r, theta = cmath.polar(x_cubed)
     m = r ** (1.0 / 3.0)
     xs = [cmath.rect(m, (theta + 2.0 * math.pi * k) / 3.0) for k in range(3)]
@@ -185,7 +193,7 @@ def _kernel_inputs():
     pairs += [
         tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2)) for _ in range(2000)
     ]
-    # the "-" branch: x^3 = b/2 + sqrt(disc) cancels to zero
+    # b < 0, where b/2 + sqrt(disc) would cancel to zero: the "-" branch
     pairs += [(1e-120, -1.0), (-1e-120, -7.0), (231344.73995406597, -1.726389263103704e57)]
     # disc == 0 exactly: (w - 1)^2 (w + 2) and (w - 2)^2 (w + 4)
     pairs += [(-3.0, 2.0), (-12.0, 16.0), (-3.0, -2.0)]
@@ -211,7 +219,7 @@ class TestOmegaKernel:
             cases.add(f"{branch}, x^3 {'>' if x_cubed > 0.0 else '<'} 0")
             if disc == 0.0:
                 cases.add("disc == 0")
-        assert cases == {"disc < 0", "+, x^3 > 0", "+, x^3 < 0", "-, x^3 < 0", "disc == 0"}
+        assert cases == {"disc < 0", "+, x^3 > 0", "-, x^3 < 0", "disc == 0"}
 
     def test_matches_the_complex_reference(self):
         # Root k against the reference's root k, within 8 ulps of the
@@ -223,6 +231,18 @@ class TestOmegaKernel:
             scale = max(map(abs, want))
             for z, w in zip(roots, want):
                 assert abs(z - w) <= 8 * 2.0**-52 * scale, (a, b)
+
+    def test_negative_b_takes_the_branch_that_does_not_cancel(self):
+        # w^3 + 0.00089w - 3.39: b/2 + sqrt(disc) cancels to 7.7e-12, with
+        # relative error 1.8e-5, and took all three roots 6e-6 off.  The
+        # roots are mpmath 1.3.0 polyroots at 50 digits, rounded.
+        roots, tags = split_solver._omega_cubic(0.0008916153782150636, -3.3939463287828544)
+        assert roots == [
+            complex(1.502603860151818, 0.0),
+            complex(-0.751301930075909, 1.3016356578496047),
+            complex(-0.751301930075909, -1.3016356578496047),
+        ]
+        assert tags == ("omega-branch-0:-", "omega-branch-1:-", "omega-branch-2:-")
 
     @given(
         st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
@@ -539,13 +559,14 @@ class TestDeflation:
     def test_cubic_real_root_under_its_largest_pair(self):
         # Roots -1.99e-9 and -97.9 +- 448.5i: the shift swamps the real
         # root, which then comes from -c0 over the pair's product and keeps
-        # its tag.  Without that it came out 1e-4 off, relative.  The
-        # reference is mpmath 1.3.0 polyroots at 50 digits.
+        # its tag (":-", since the depressed b is negative).  Without that it
+        # came out 1e-4 off, relative.  The reference is mpmath 1.3.0
+        # polyroots at 50 digits.
         p = RealPolynomial((3.062482943924934e-05, 15409.49999115185, 14.326795113182952, 0.07313346076028897))
         rs = solve(p)
         (real,) = [z.real for z in rs.roots if z.imag == 0.0]
         assert abs(real - -1.9873992963360744e-09) <= 1e-14 * 1.9873992963360744e-09
-        assert sorted(rs.branch_tags) == ["omega-branch-0:+", "omega-branch-1:+", "omega-branch-2:+"]
+        assert sorted(rs.branch_tags) == ["omega-branch-0:-", "omega-branch-1:-", "omega-branch-2:-"]
 
     def test_unusable_largest_root_leaves_the_roots(self):
         # A largest root whose square is not a normal float is not divided
