@@ -98,6 +98,9 @@ def _meets_tolerance(residual: float, z: complex, n: int, scale: float) -> bool:
     try:
         power = max(1.0, abs(z)) ** n
     except OverflowError:
+        # CPython 3.10-3.13 leaves errno at ERANGE here, and the next abs() of a
+        # nan complex would read it and raise; abs() of a finite one resets it.
+        abs(0j)
         power = math.inf
     return residual <= _TOLERANCE * scale * power
 
@@ -105,29 +108,25 @@ def _meets_tolerance(residual: float, z: complex, n: int, scale: float) -> bool:
 def _polish(coeffs_rev: tuple[float, ...], z: complex) -> tuple[complex, float]:
     """Newton steps accepted only while the residual strictly decreases.
 
-    Returns the polished root and its residual ``|p(z)|``.  A step reuses the
-    evaluation that accepted its point, so the cost is one Horner pass at the
-    start plus one per candidate tried.
+    Returns the polished root and its residual ``|p(z)|``.  One Horner pass
+    evaluates the start point, whose residual is always taken, then one each
+    Newton candidate; a step reuses the evaluation that accepted its point.
     """
-    p = dp = 0j
-    for c in coeffs_rev:
-        dp = dp * z + p
-        p = p * z + c
-    best = abs(p)
-    for _ in range(_POLISH_STEPS):
-        if not dp:
-            break
-        candidate = z - p / dp
-        if candidate == z:  # a vanished step cannot lower the residual
-            break
+    candidate = z
+    for step in range(_POLISH_STEPS + 1):
         cp = cdp = 0j
         for c in coeffs_rev:
             cdp = cdp * candidate + cp
             cp = cp * candidate + c
         r = abs(cp)
-        if not r < best:
+        if step and not r < best:
             break
         z, best, p, dp = candidate, r, cp, cdp
+        if not dp or step == _POLISH_STEPS:
+            break
+        candidate = z - p / dp
+        if candidate == z:  # a vanished step cannot lower the residual
+            break
     return z, best
 
 

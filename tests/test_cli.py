@@ -26,8 +26,10 @@ GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
 CUBIC_1E300 = "z^3 + {0}z^2 + {0}z + {0}".format("1" + "0" * 300)
 # z^2 + 1e160 z + 1: the solver's roots are finite, the oracle's nan.
 WIDE_QUADRATIC = f"z^2 + 1{'0' * 160}z + 1"
-# Finite inputs on which the oracle raises: |p(z)| overflows in its polish
-# on the cubic, and 1e10 / 1e-300 overflows in monic() on the quadratic.
+# Finite inputs on which the oracle overflows.  On the cubic one root goes
+# nan beside a root whose convergence power overflows, so the record is
+# refused as non-finite; on the quadratic 1e10 / 1e-300 overflows in monic()
+# and the oracle raises.
 ORACLE_OVERFLOWS = {
     "cubic": format_polynomial(
         RealPolynomial((0.0, 9.772785278470283e139, -1.2498788044298073e21, 3.3857319084680446e-155)), "z"
@@ -63,6 +65,11 @@ SOLVE_RESIDUAL_OVERFLOW = format_polynomial(
     "z",
 )
 _NOT_FINITE = "the result for {} holds a non-finite number (inf or nan)"
+# What `oracle` prints after "error: " on each of ORACLE_OVERFLOWS.
+ORACLE_ERRORS = {
+    "cubic": _NOT_FINITE.format(ORACLE_OVERFLOWS["cubic"]),
+    "quadratic": "oracle: coefficients must be finite, got inf",
+}
 # Each kind of refusal: (command, expression, exit code, stderr text after "error: ").
 REFUSALS = {
     "parse-error": (
@@ -85,17 +92,12 @@ REFUSALS = {
         "resolvent coefficients must be finite, got (1.0, -inf, nan, nan)",
     ),
     "solve-residual-overflow": (["solve"], SOLVE_RESIDUAL_OVERFLOW, 4, "absolute value too large"),
-    "oracle-overflow": (
-        ["oracle"],
-        ORACLE_OVERFLOWS["cubic"],
-        4,
-        "oracle: absolute value too large",
-    ),
+    "oracle-overflow": (["oracle"], ORACLE_OVERFLOWS["cubic"], 4, ORACLE_ERRORS["cubic"]),
     "oracle-monic-overflow": (
         ["oracle"],
         ORACLE_OVERFLOWS["quadratic"],
         4,
-        "oracle: coefficients must be finite, got inf",
+        ORACLE_ERRORS["quadratic"],
     ),
     "oracle-residual-overflow": (
         ["oracle"],
@@ -296,6 +298,15 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "--tolerance" not in capsys.readouterr().out
 
+    def test_bench_takes_no_degree(self, capsys):
+        # bench times degrees 2, 3 and 4, the rows compare_bench.py reads.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n", "1", "--degree", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --degree 2" in captured.err
+
     def test_split_system_takes_no_tolerance(self, capsys):
         # split-system prints no roots, so there is no residual to warn on.
         with pytest.raises(SystemExit) as exc:
@@ -366,7 +377,7 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.count("\n") == 1, mode
             if command == ["oracle"]:
-                assert captured.err.startswith("error: oracle: "), mode
+                assert captured.err == f"error: {ORACLE_ERRORS[name]}\n", mode
             else:  # the solver's own refusal comes first, as without --oracle
                 assert main([*command[:-1], *mode, text]) == 4, mode
                 assert capsys.readouterr() == captured, mode
@@ -402,8 +413,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["polynomial"] == "z^2 - 1"
         assert captured.err == (
-            "error: line 1: oracle: absolute value too large\n"
-            "error: line 2: oracle: coefficients must be finite, got inf\n"
+            f"error: line 1: {ORACLE_ERRORS['cubic']}\n"
+            f"error: line 2: {ORACLE_ERRORS['quadratic']}\n"
         )
 
     @pytest.mark.parametrize(
@@ -460,7 +471,7 @@ class TestExitCodes:
             assert capsys.readouterr() == ("", f"error: line 2: {message}\n"), mode
 
     def test_option_limits_are_inclusive(self, capsys):
-        assert main(["bench", "--n", "1", "--degree", "2"]) == 0
+        assert main(["bench", "--n", "1"]) == 0
         assert main(["solve", "z^2 - 1", "--tolerance", "0"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -534,9 +545,12 @@ class TestJsonRecords:
     def test_bench_json(self, capsys):
         assert main(["bench", "--n", "5", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert len(data["rows"]) == 6  # 3 degrees x 2 methods
+        assert [(row["degree"], row["method"]) for row in data["rows"]] == [
+            (2, "split-closed-form"), (3, "split-closed-form"), (4, "split-closed-form")
+        ]
         for row in data["rows"]:
-            assert row["max_residual"] <= 1e-6
+            assert set(row) == {"degree", "method", "n", "median_ns_per_solve"}
+            assert row["n"] == 5
 
     def test_bench_json_keys_compare_bench_reads(self, capsys):
         # perfbench/compare_bench.py runs `bench --json --seed S --n N` and
@@ -845,10 +859,12 @@ class TestTextOutput:
         assert captured.err == ""
 
     def test_bench_text_table(self, capsys):
-        assert main(["bench", "--n", "3", "--degree", "2"]) == 0
+        assert main(["bench", "--n", "3"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("degree")
-        assert len(out) == 3  # header + one degree x two methods
+        assert out[0].split() == ["degree", "method", "n", "median", "ns/solve"]
+        assert [line.split()[:3] for line in out[1:]] == [
+            [str(degree), "split-closed-form", "3"] for degree in (2, 3, 4)
+        ]
 
 
 class TestBatchMode:
@@ -910,17 +926,6 @@ class TestBatchMode:
         assert "polynomial: z^2 - 1" in captured.out
 
 
-class TestBenchDeterminism:
-    def test_same_seed_same_residuals(self, capsys):
-        main(["bench", "--n", "10", "--degree", "3", "--json"])
-        first = json.loads(capsys.readouterr().out)
-        main(["bench", "--n", "10", "--degree", "3", "--json"])
-        second = json.loads(capsys.readouterr().out)
-        res1 = [row["max_residual"] for row in first["rows"]]
-        res2 = [row["max_residual"] for row in second["rows"]]
-        assert res1 == res2
-
-
 class TestStartup:
     """Stdlib modules that only some commands need stay off the import path."""
 
@@ -962,9 +967,16 @@ class TestStartup:
         assert json.loads(crosscheck.stdout)["diagnostics"]["oracle_max_pairing_distance"] == 0.0
 
     def test_bench_loads_its_modules_when_run(self):
-        proc = self._run("-m", "splitroots.cli", "bench", "--n", "1", "--json")
-        assert proc.returncode == 0, proc.stderr
-        assert len(json.loads(proc.stdout)["rows"]) == 6
+        # bench times the closed form only, so it never loads the oracle.
+        script = (
+            "import sys; from splitroots.cli import main; code = main(sys.argv[1:]); "
+            "print('splitroots.oracle' in sys.modules, code, file=sys.stderr)"
+        )
+        proc = self._run("-c", script, "bench", "--n", "1", "--json")
+        assert proc.stderr == "False 0\n"
+        rows = json.loads(proc.stdout)["rows"]
+        assert [row["method"] for row in rows] == ["split-closed-form"] * 3
+        assert not any("max_residual" in row for row in rows)
 
     def test_exponent_coefficient_is_expanded_when_echoed(self):
         proc = self._run("-m", "splitroots.cli", "solve", "z^2 - 0.00000000000000000001")

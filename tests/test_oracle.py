@@ -263,6 +263,13 @@ class TestConvergenceTest:
         assert not oracle._meets_tolerance(math.nan, -1e200 + 0j, 2, 1.0)
         assert not oracle._meets_tolerance(1.0, 2.0 + 0j, 2, 1.0)
 
+    def test_overflowing_power_leaves_no_stale_error(self):
+        # The caught overflow must not make a later |p(z)| of a nan root
+        # raise OverflowError: the residual of a nan root is nan.
+        assert oracle._meets_tolerance(1.0, complex(1e200, 0.0), 4, 1.0)
+        z, residual = oracle._polish((1.0, 0.0, -1.0), complex(math.nan, math.nan))
+        assert cmath.isnan(z) and math.isnan(residual)
+
 
 class TestLateFreeze:
     # A root of a multiple zero keeps moving by far more than the relative
@@ -411,9 +418,7 @@ def _reference_find_roots(p):
         z, iterations_used = [complex(-c, 0.0) for c in quotient[:-1]], 0
     polished = [_reference_polish(coeffs_rev, w) for w in z] + [(0j, 0.0)] * zeros
     z, residuals = zip(*polished)
-    converged = all(
-        r <= oracle._TOLERANCE * scale * max(1.0, abs(w)) ** n for r, w in zip(residuals, z)
-    )
+    converged = all(oracle._meets_tolerance(r, w, n, scale) for r, w in zip(residuals, z))
     return oracle.OracleResult(
         roots=z,
         iterations_used=iterations_used,
@@ -557,8 +562,6 @@ class TestMatchesReferenceOracle:
     @pytest.mark.parametrize(
         "coeffs, error",
         [
-            # |p(z)| in the polish overflows although its parts are finite.
-            ((0.0, 9.772785278470283e139, -1.2498788044298073e21, 3.3857319084680446e-155), OverflowError),
             # 1e10 / 1e-300 overflows in monic().
             ((1.0, 1e10, 1e-300), ValueError),
         ],
@@ -568,6 +571,15 @@ class TestMatchesReferenceOracle:
         _assert_matches_frozen_copy(p)
         with pytest.raises(error):
             find_roots(p)
+
+    def test_nan_root_beside_an_overflowing_power(self):
+        # The convergence power of the root near 7.8e118 overflows, and the
+        # next root is nan.  Its |p(z)| once raised OverflowError instead of
+        # giving nan, reading the errno that overflow left behind.
+        p = RealPolynomial((0.0, 9.772785278470283e139, -1.2498788044298073e21, 3.3857319084680446e-155))
+        result = _assert_matches_frozen_copy(p)
+        assert not result.converged
+        assert [cmath.isnan(z) for z in result.roots] == [False, True, False]
 
     def test_cluster_radii_on_random_sets(self):
         rng = random.Random(1802)
