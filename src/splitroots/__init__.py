@@ -27,7 +27,6 @@ from .split_solver import (
     OMEGA_ANSATZ,
     ONE_MINUS_OMEGA,
     SplitAnsatz,
-    SplitResidual,
     UnsupportedDegreeError,
     cubic_naive_split_residual,
     cubic_omega_split_residual,
@@ -51,7 +50,6 @@ __all__ = [
     "RealPolynomial",
     "RootSet",
     "SplitAnsatz",
-    "SplitResidual",
     "UnsupportedDegreeError",
     "cubic_naive_split_residual",
     "cubic_omega_split_residual",

@@ -37,7 +37,6 @@ from .poly_core import (
     evaluate,
 )
 from .split_solver import (
-    SplitResidual,
     UnsupportedDegreeError,
     cubic_naive_split_residual,
     cubic_omega_split_residual,
@@ -74,7 +73,7 @@ class _System(NamedTuple):
 
     name: str
     ansatz: str
-    residual: Callable[..., SplitResidual]
+    residual: Callable[..., tuple[float, float]]
     # root -> (x, y); the default is the split over omega = i
     decompose: Callable[[complex], tuple[float, float]] = lambda w: (w.real, w.imag)
     note: str | None = None
@@ -339,8 +338,8 @@ def _solve_one(text: str, args, line: int | None) -> None:
         name, residual, decompose = system.name, system.residual, system.decompose
         entries = diagnostics["split_residuals"] = []
         for z, _, _ in rows:
-            sr = residual(*coeffs, *decompose(z + shift))
-            entries.append({"system": name, "real_part": sr.real_part, "imag_part": sr.imag_part})
+            real, imag = residual(*coeffs, *decompose(z + shift))
+            entries.append({"system": name, "real_part": real, "imag_part": imag})
     # A non-finite residual is refused by _emit; the oracle's own refusal must not come first.
     if args.oracle and all(map(math.isfinite, rs.residuals)):
         result = find_roots(p)
@@ -430,17 +429,15 @@ def cmd_split_system(args) -> int:
     if args.x is not None:
         lines.append(f"at: x = {_fmt_num(args.x)}, y = {_fmt_num(args.y)}")
         for system in spec.systems:
-            sr = system.residual(*coeffs, args.x, args.y)
+            real, imag = system.residual(*coeffs, args.x, args.y)
             lines += [
                 f"system {system.name} ({system.ansatz}):",
-                f"  real part: {_fmt_num(sr.real_part)}",
-                f"  imag part: {_fmt_num(sr.imag_part)}",
+                f"  real part: {_fmt_num(real)}",
+                f"  imag part: {_fmt_num(imag)}",
             ]
             if system.note:
                 lines.append(f"  {system.note}")
-            split_residuals.append(
-                {"system": system.name, "real_part": sr.real_part, "imag_part": sr.imag_part}
-            )
+            split_residuals.append({"system": system.name, "real_part": real, "imag_part": imag})
 
     if args.reduce and spec.reduction is not None:
         values = diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))

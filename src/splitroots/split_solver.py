@@ -112,74 +112,55 @@ class UnsupportedDegreeError(ValueError):
         )
 
 
-class SplitResidual(_Record):
-    """Real and imaginary parts of a split system evaluated at a point."""
-
-    _fields = ("real_part", "imag_part")
-
-    def __init__(self, real_part: float, imag_part: float) -> None:
-        d = self.__dict__
-        d["real_part"], d["imag_part"] = real_part, imag_part
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(self.real_part), abs(self.imag_part))
-
-
 # ---------------------------------------------------------------------------
-# split-system residual evaluators
+# split-system residual evaluators: each returns the pair (real, imag)
 # ---------------------------------------------------------------------------
 
 
-def quadratic_split_residual(a: float, b: float, x: float, y: float) -> SplitResidual:
+def quadratic_split_residual(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     """System for ``z**2 + a*z + b`` at ``z = x + i*y``."""
-    return SplitResidual(
-        real_part=x * x - y * y + a * x + b,
-        imag_part=2.0 * x * y + a * y,
-    )
+    return x * x - y * y + a * x + b, 2.0 * x * y + a * y
 
 
-def cubic_naive_split_residual(a: float, b: float, x: float, y: float) -> SplitResidual:
+def cubic_naive_split_residual(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     """Naive split of ``z**3 + a*z + b`` at ``z = x + i*y``.
 
     The imaginary part is written here as ``y**3 - 3*x**2*y - a*y``, which is
     the negation of ``Im((x+iy)**3 + a*(x+iy) + b)``; both vanish on the same
     set, so the system's zeros are unchanged.
     """
-    return SplitResidual(
-        real_part=x * x * x - 3.0 * x * y * y + a * x + b,
-        imag_part=y * y * y - 3.0 * x * x * y - a * y,
+    return (
+        x * x * x - 3.0 * x * y * y + a * x + b,
+        y * y * y - 3.0 * x * x * y - a * y,
     )
 
 
-def cubic_omega_split_residual(a: float, b: float, x: float, y: float) -> SplitResidual:
+def cubic_omega_split_residual(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     """Split of ``z**3 + a*z + b`` at ``z = x + omega*y``, omega a cube root of -1.
 
     The real part equals ``Re(p(x + omega*y))`` exactly; the imaginary part is
-    stated without its overall factor, ``Im(p(x + omega*y)) = (sqrt(3)/2) *
-    imag_part``.
+    stated without its overall factor: ``Im(p(x + omega*y))`` is ``sqrt(3)/2``
+    times it.
     """
-    return SplitResidual(
-        real_part=(
-            x * x * x
-            - y * y * y
-            + 1.5 * x * x * y
-            - 1.5 * x * y * y
-            + a * x
-            + 0.5 * a * y
-            + b
-        ),
-        imag_part=3.0 * x * y * y + 3.0 * x * x * y + a * y,
+    real = (
+        x * x * x
+        - y * y * y
+        + 1.5 * x * x * y
+        - 1.5 * x * y * y
+        + a * x
+        + 0.5 * a * y
+        + b
     )
+    return real, 3.0 * x * y * y + 3.0 * x * x * y + a * y
 
 
-def quartic_split_residual(a: float, b: float, c: float, x: float, y: float) -> SplitResidual:
+def quartic_split_residual(a: float, b: float, c: float, x: float, y: float) -> tuple[float, float]:
     """System for ``z**4 + a*z**2 + b*z + c`` at ``z = x + i*y``."""
     x2 = x * x
     y2 = y * y
-    return SplitResidual(
-        real_part=x2 * x2 + y2 * y2 - 6.0 * x2 * y2 + a * x2 - a * y2 + b * x + c,
-        imag_part=4.0 * x2 * x * y - 4.0 * x * y2 * y + 2.0 * a * x * y + b * y,
+    return (
+        x2 * x2 + y2 * y2 - 6.0 * x2 * y2 + a * x2 - a * y2 + b * x + c,
+        4.0 * x2 * x * y - 4.0 * x * y2 * y + 2.0 * a * x * y + b * y,
     )
 
 

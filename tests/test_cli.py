@@ -22,7 +22,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
 
 # z^3 + 1e300 z^2 + 1e300 z + 1e300 in plain decimals: the solver's and the
-# oracle's roots both come out nan (ROADMAP item 2b).
+# oracle's roots both come out nan (ROADMAP item 5).
 CUBIC_1E300 = "z^3 + {0}z^2 + {0}z + {0}".format("1" + "0" * 300)
 # z^2 + 1e160 z + 1: the solver's roots are finite, the oracle's nan.
 WIDE_QUADRATIC = f"z^2 + 1{'0' * 160}z + 1"
@@ -260,7 +260,7 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
 
     def test_non_finite_json_record_is_4(self, capsys):
-        # The solver's roots of this cubic are nan (ROADMAP item 2b): no
+        # The solver's roots of this cubic are nan (ROADMAP item 5): no
         # strict JSON record can hold them.
         assert main(["solve", "--json", CUBIC_1E300]) == 4
         captured = capsys.readouterr()

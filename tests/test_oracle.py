@@ -810,6 +810,7 @@ class TestPairing:
         pairs = pair_roots(roots, roots)
         assert [(i, j) for i, j, _ in pairs] == [(0, 0), (1, 1), (2, 2)]
         assert max(d for _, _, d in pairs) == 0.0
+        assert pair_roots([], []) == []
 
     def test_permuted_reference(self):
         computed = [1 + 0j, 2 + 0j, 3 + 0j]
@@ -829,6 +830,8 @@ class TestPairing:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pair_roots([1 + 0j], [1 + 0j, 2 + 0j])
+        with pytest.raises(ValueError):
+            pair_roots([], [1j])
 
     def test_max_pairing_distance_value(self):
         assert max_pairing_distance([0j, 1 + 0j], [0j, 1.5 + 0j]) == pytest.approx(0.5)

@@ -11,7 +11,6 @@ from splitroots import (
     RealPolynomial,
     RootSet,
     SplitAnsatz,
-    SplitResidual,
 )
 from splitroots.cli import OutputRecord, RootRecord
 
@@ -34,11 +33,6 @@ CASES = [
         "RootSet(roots=((1+0j), 2j), residuals=(0.0, 1e-17), branch_tags=('a', 'b'))",
     ),
     (SplitAnsatz(0.5 + 1j), ("omega",), "SplitAnsatz(omega=(0.5+1j))"),
-    (
-        SplitResidual(real_part=1.0, imag_part=-0.5),
-        ("real_part", "imag_part"),
-        "SplitResidual(real_part=1.0, imag_part=-0.5)",
-    ),
     (
         OracleResult((1 + 0j, -1 + 0j), 5, True, (0.0, 0.0)),
         ("roots", "iterations_used", "converged", "cluster_radii"),
