@@ -498,6 +498,11 @@ def _build_parser() -> argparse.ArgumentParser:
             raise ValueError(text)
         return float(text)
 
+    def finite_float(text: str) -> float:
+        if not math.isfinite(float(text)):
+            raise ValueError(text)
+        return float(text)
+
     parser = argparse.ArgumentParser(
         prog="splitroots",
         description="Closed-form roots of degree 2-4 real polynomials via "
@@ -540,8 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluate split-system residuals at a point (x, y)",
     )
     p_split.add_argument("expr", help="polynomial expression")
-    p_split.add_argument("--x", type=float, default=None, help="x of the split point")
-    p_split.add_argument("--y", type=float, default=None, help="y of the split point")
+    p_split.add_argument("--x", type=finite_float, default=None, help="x of the split point")
+    p_split.add_argument("--y", type=finite_float, default=None, help="y of the split point")
     p_split.add_argument(
         "--auto-depress",
         action="store_true",

@@ -20,8 +20,8 @@ into a real two-equation system.  The systems used here:
   quadratic factors ``(w^2 - 2xw + beta0)(w^2 + 2xw + beta1)``, Newton-refined
   against the quartic's coefficients.
 
-When the depression shift of a cubic or quartic swamps its smallest root,
-``_undepress`` divides out the largest root and solves the quotient instead.
+Where a cubic's or quartic's depression shift swamps its smallest moved-back
+root, ``_undepress`` divides out the largest root and solves the quotient.
 
 Degree 5 is where the approach stops paying off: the analogous elimination
 no longer reduces the degree, so those inputs are rejected.
@@ -223,9 +223,10 @@ def _finish(
     # _trusted (complex roots, float residuals).  Each residual is horner_abs's
     # to the bit (see there): a real root's takes real Horner steps unless it
     # overflows (then horner_abs's inf or nan is reported), and the second of an
-    # exactly conjugate pair reuses the first's.  A root _polish_root returns as
-    # a float becomes complex again at complex(x + 0.0, im + 0.0) below.
+    # exactly conjugate pair reuses the first's.  A float from _polish_root, or a
+    # root with a zero part, is normalized by complex(x + 0.0, im + 0.0) below.
     trigger = _POLISH_TRIGGER * scale
+    isfinite = math.isfinite
     out_roots: list[complex] = []
     out_residuals: list[float] = []
     prev_x = prev_im = prev_res = math.nan
@@ -235,19 +236,18 @@ def _finish(
             v = 0.0
             for c in coeffs_rev:
                 v = v * x + c
-            residual = abs(v) if math.isfinite(v) else horner_abs(coeffs_rev, z)
+            residual = abs(v) if isfinite(v) else horner_abs(coeffs_rev, z)
         else:
             residual = prev_res if x == prev_x and im == -prev_im else horner_abs(coeffs_rev, z)
         prev_x, prev_im, prev_res = x, im, residual
         if residual > trigger:
             z, residual = _polish_root(coeffs_rev, z, scale, residual)
             x, im = z.real, z.imag
-        if im != 0.0 and abs(im) <= _IMAG_SNAP * abs(x):
-            z = complex(x, 0.0)
-            residual = horner_abs(coeffs_rev, z)
-            im = 0.0
         if im == 0.0 or x == 0.0:
             z = complex(x + 0.0, im + 0.0)
+        elif abs(im) <= _IMAG_SNAP * abs(x):
+            z = complex(x, 0.0)
+            residual = horner_abs(coeffs_rev, z)
         out_roots.append(z)
         out_residuals.append(residual)
     return RootSet._trusted(tuple(out_roots), tuple(out_residuals), tuple(tags))
@@ -290,7 +290,10 @@ def solve_quadratic(a: float, b: float) -> RootSet:
     pair with ``y = sqrt(b - a**2/4)``).
     """
     roots, tags = _quadratic_roots(a, b)
-    scale = max(1.0, abs(a), abs(b))
+    # max(1.0, abs(a), abs(b)), nan handling included, without the call.
+    scale = abs(a) if abs(a) > 1.0 else 1.0
+    if abs(b) > scale:
+        scale = abs(b)
     return _finish((1.0, a, b), scale, roots, tags)
 
 
@@ -450,13 +453,17 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> tuple[list[complex], tuple[
             roots.extend([s, -s])
         return roots, ("biquadratic-0:+", "biquadratic-0:-", "biquadratic-1:+", "biquadratic-1:-")
 
-    _, r2, r1, r0 = quartic_resolvent_coefficients(a, b, c)
+    # quartic_resolvent_coefficients and _depress_monic_cubic, written out.
+    r2, r1, r0 = 0.5 * a, a * a / 16.0 - 0.25 * c, -b * b / 64.0
     if not (math.isfinite(r0) and math.isfinite(r1) and math.isfinite(r2)):
         raise ValueError(f"resolvent coefficients must be finite, got {(1.0, r2, r1, r0)!r}")
     # The resolvent's real roots, largest first, are those whose imaginary
     # part is rounding next to the largest root.
-    ra, rb, shift = _depress_monic_cubic(r2, r1, r0)
-    t0, t1, t2 = [t - shift for t in _omega_cubic(ra, rb)[0]]
+    s = r2 / 3.0
+    s2 = s * s
+    ra = r1 - 3.0 * s2
+    (t0, t1, t2), _ = _omega_cubic(ra, r0 - s * (ra + s2))
+    t0, t1, t2 = t0 - s, t1 - s, t2 - s
     cut = 1e-7 * max(1.0, abs(t0), abs(t1), abs(t2))
     candidates = [(t0.real, 0)] if abs(t0.imag) <= cut else []
     if abs(t1.imag) <= cut:
@@ -484,7 +491,7 @@ def solve_depressed_quartic(dq: DepressedQuartic) -> tuple[list[complex], tuple[
 def _undepress(
     coeffs: tuple[float, ...], roots: Sequence[complex], tags: Sequence[str], shift: float
 ) -> tuple[Sequence[complex], Sequence[str]]:
-    """``roots`` of a depression in ``w = z + shift`` moved back to ``z``, and their tags.
+    """Moved-back depressed ``roots`` and their ``tags``, deflated where ``shift`` swamps one.
 
     ``coeffs`` is the cubic or quartic, constant first.  Where the shift
     swamps the smallest root, the largest root (and its conjugate) is kept and
@@ -492,11 +499,10 @@ def _undepress(
     (backward deflation); the quotient is solved in closed form, a cubic one
     through this same step.  Each root keeps the tag of the branch that
     produced it; a cubic's real root left by its largest pair is ``-c[0]``
-    over the pair's product, and keeps its own tag.  The moved roots are
-    returned as they are when the largest one's square is not a normal
-    float, or a deflated root is not finite.
+    over the pair's product, and keeps its own tag.  ``roots`` and ``tags``
+    are returned as given when the shift swamps no root, the largest root's
+    square is not a normal float, or a deflated root is not finite.
     """
-    roots = [w - shift for w in roots]
     small = _DEFLATE_BELOW * abs(shift)
     # roots[-1] is a quartic's fourth root, or a cubic's third again.
     if not (abs(roots[0]) < small or abs(roots[1]) < small or abs(roots[2]) < small or abs(roots[-1]) < small):
@@ -526,7 +532,8 @@ def _undepress(
         rest, rest_tags = _quadratic_roots(q[1], q[0])
     else:
         a, b, s = _depress_monic_cubic(q[2], q[1], q[0])
-        rest, rest_tags = _undepress((*q, 1.0), *_omega_cubic(a, b), s)
+        (w0, w1, w2), rest_tags = _omega_cubic(a, b)
+        rest, rest_tags = _undepress((*q, 1.0), (w0 - s, w1 - s, w2 - s), rest_tags, s)
     if not all(map(cmath.isfinite, rest)):
         return roots, tags
     return [*kept, *rest], (*kept_tags, *rest_tags)
@@ -536,8 +543,9 @@ def solve(p: RealPolynomial) -> RootSet:
     """Roots of ``p`` (degrees 1-4) with residuals against ``p`` itself.
 
     Cubics and quartics are depressed first and solved through the split
-    systems; their branch roots are translated back and polished once,
-    against the original polynomial.  A monic quadratic's roots are returned
+    systems; their branch roots are moved back here, deflated by
+    :func:`_undepress`, and polished once, against the original
+    polynomial.  A monic quadratic's roots are returned
     as :func:`solve_quadratic` gives them: it already polished and scored
     them against the same coefficients.  Raises ``ValueError`` (degree 0 or
     over 4, or an overflowing intermediate such as the monic form) and
@@ -545,13 +553,16 @@ def solve(p: RealPolynomial) -> RootSet:
     """
     coeffs = p.coefficients
     degree = len(coeffs) - 1
-    if degree == 0:
-        raise ValueError("a degree-0 polynomial has no roots to solve for")
-    if degree >= 5:
-        raise UnsupportedDegreeError(degree)
-
-    if degree == 1:
-        roots, tags = [complex(-_monic_coefficients(coeffs)[0], 0.0)], ("linear",)
+    if degree == 3:
+        dep = depress_cubic(p)
+        (w0, w1, w2), tags = solve_depressed_cubic(dep)
+        shift = dep.shift
+        roots, tags = _undepress(coeffs, (w0 - shift, w1 - shift, w2 - shift), tags, shift)
+    elif degree == 4:
+        dep = depress_quartic(p)
+        (w0, w1, w2, w3), tags = solve_depressed_quartic(dep)
+        shift = dep.shift
+        roots, tags = _undepress(coeffs, (w0 - shift, w1 - shift, w2 - shift, w3 - shift), tags, shift)
     elif degree == 2:
         b, a, _ = _monic_coefficients(coeffs)
         inner = solve_quadratic(a, b)
@@ -561,14 +572,18 @@ def solve(p: RealPolynomial) -> RootSet:
         # only once, against p, raised lib-wide degree-2 failures from 137
         # to 156 (seeds 1001-1020, 1000 polynomials per degree).
         roots, tags = inner.roots, inner.branch_tags
-    elif degree == 3:
-        dep = depress_cubic(p)
-        roots, tags = solve_depressed_cubic(dep)
+    elif degree == 1:
+        roots, tags = [complex(-_monic_coefficients(coeffs)[0], 0.0)], ("linear",)
+    elif degree == 0:
+        raise ValueError("a degree-0 polynomial has no roots to solve for")
     else:
-        dep = depress_quartic(p)
-        roots, tags = solve_depressed_quartic(dep)
-    if degree >= 3:
-        roots, tags = _undepress(coeffs, roots, tags, dep.shift)
+        raise UnsupportedDegreeError(degree)
 
-    scale = max(1.0, max(map(abs, coeffs)))
+    # max(1.0, max |c|) for finite c; on Python 3.11 one max() costs this loop.
+    scale = 1.0
+    for c in coeffs:
+        if c > scale:
+            scale = c
+        elif -c > scale:
+            scale = -c
     return _finish(coeffs[::-1], scale, roots, tags)

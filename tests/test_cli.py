@@ -276,8 +276,12 @@ class TestExitCodes:
             ["bench", "--n", "-1"],
             ["solve", "z^2 - 1", "--tolerance", "nan"],
             ["solve", "z^2 - 1", "--tolerance", "-1"],
+            ["split-system", "z^4+z^2-3z+2", "--x", "nan", "--y", "1"],
+            ["split-system", "z^4+z^2-3z+2", "--x", "1", "--y", "nan"],
+            ["split-system", "z^4+z^2-3z+2", "--x", "inf", "--y", "1"],
+            ["split-system", "z^4+z^2-3z+2", "--x", "1", "--y=-inf", "--json"],
         ],
-        ids=["n-zero", "n-negative", "tolerance-nan", "tolerance-negative"],
+        ids=["n-zero", "n-negative", "tolerance-nan", "tolerance-negative", "x-nan", "y-nan", "x-inf", "y-minus-inf"],
     )
     def test_out_of_range_option_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -572,18 +574,16 @@ class TestDeflation:
     def test_unusable_largest_root_leaves_the_roots(self):
         # A largest root whose square is not a normal float is not divided
         # out; the shift 1.0 swamps the root 0 and fires the trigger, and
-        # the roots come back moved by it.
-        depressed = [complex(1e200, 0.0), 1 + 1j, 1 - 1j, 1 + 0j]
-        roots = [complex(1e200, 0.0), 1j, -1j, 0j]
-        assert split_solver._undepress((0.0, 1.0, 0.0, 1.0, 1.0), depressed, "abcd", 1.0) == (roots, "abcd")
+        # the moved roots come back as they were passed.
+        roots = (complex(1e200, 0.0), 1j, -1j, 0j)
+        assert split_solver._undepress((0.0, 1.0, 0.0, 1.0, 1.0), roots, "abcd", 1.0) == (roots, "abcd")
 
     def test_non_finite_quotient_leaves_the_roots(self):
         # Dividing z^3 + 1e308 by the root 2^-10 overflows the quotient, whose
         # roots are then not finite.  The shift 2^-3 swamps the roots 2^-14
-        # and 2^-17, and the roots come back moved by it, exactly.
-        roots, tags = [complex(2.0**-10), complex(2.0**-14), complex(2.0**-17)], ("a", "b", "c")
-        depressed = [z + 2.0**-3 for z in roots]
-        kept_roots, kept_tags = split_solver._undepress((1e308, 0.0, 0.0, 1.0), depressed, tags, 2.0**-3)
+        # and 2^-17, and the moved roots come back as they were passed.
+        roots, tags = (complex(2.0**-10), complex(2.0**-14), complex(2.0**-17)), ("a", "b", "c")
+        kept_roots, kept_tags = split_solver._undepress((1e308, 0.0, 0.0, 1.0), roots, tags, 2.0**-3)
         assert kept_roots == roots and kept_tags is tags
 
 
@@ -876,15 +876,28 @@ class TestDepressionIntegration:
         assert paired <= 1e-8
 
 
+def _traced_split_solver_names() -> tuple[str, ...]:
+    # The split_solver globals perfbench/spans.py rebinds for its traced
+    # runs, read from spans.install's own targets: installed on a throwaway
+    # Recorder and restored at once.
+    perfbench = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import spans
+    finally:
+        sys.path.remove(perfbench)
+    saved = spans.install(spans.Recorder(), split_solver)
+    spans.restore(saved)
+    return tuple(attr for owner, attr, _ in saved if owner is split_solver)
+
+
 class TestSolverStructure:
     # The names solve() must look up in split_solver's globals on each path.
-    LAYERS = (
-        "depress_cubic",
-        "depress_quartic",
-        "solve_quadratic",
-        "solve_depressed_cubic",
-        "solve_depressed_quartic",
-    )
+    LAYERS = _traced_split_solver_names()
+
+    def test_reading_the_traced_names_leaves_no_wrapper(self):
+        assert self.LAYERS
+        assert all(getattr(split_solver, name).__module__ != "spans" for name in self.LAYERS)
 
     @pytest.mark.parametrize(
         "coeffs, expected",
@@ -897,6 +910,8 @@ class TestSolverStructure:
         ],
     )
     def test_solve_calls_each_layer_once(self, monkeypatch, coeffs, expected):
+        # A name the tracer no longer rebinds would be counted nowhere.
+        assert expected <= set(self.LAYERS)
         calls = dict.fromkeys(self.LAYERS, 0)
 
         def counting(name, fn):
@@ -1520,6 +1535,13 @@ def _reference_undepress(coeffs, roots, tags, shift, log):
     return roots, tags
 
 
+def _listed(fn, *args):
+    # fn's (roots, tags) as a list and a tuple: _undepress returns the roots
+    # it was given, a tuple, where it does not deflate.
+    roots, tags = fn(*args)
+    return list(roots), tuple(tags)
+
+
 def _wide_root_polynomial(rng: random.Random, degree: int) -> RealPolynomial:
     # Real roots and conjugate pairs of moduli log-uniform in 1e+-40, times a
     # leading coefficient log-uniform in 1e+-3.
@@ -1556,9 +1578,12 @@ class TestUndepress:
                     roots, tags = inner(dep)
                 except ValueError:
                     continue
-                args = p.coefficients, roots, tags, dep.shift
-                got = _outcome(split_solver._undepress, args)
-                assert got == _outcome(_reference_undepress, (*args, log)), p
+                # _undepress takes the roots moved back, as solve() passes
+                # them; the reference still moves them itself.
+                moved = tuple(w - dep.shift for w in roots)
+                got = _outcome(_listed, (split_solver._undepress, p.coefficients, moved, tags, dep.shift))
+                ref = _outcome(_listed, (_reference_undepress, p.coefficients, roots, tags, dep.shift, log))
+                assert got == ref, p
         assert log.count("fired") >= 100 and log.count("again") >= 20
 
 
