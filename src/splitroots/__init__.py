@@ -17,7 +17,6 @@ from .poly_core import (
     RootSet,
     depress_cubic,
     depress_quartic,
-    derivative,
     evaluate,
     reconstruct_cubic,
     reconstruct_quartic,
@@ -55,7 +54,6 @@ __all__ = [
     "cubic_omega_split_residual",
     "depress_cubic",
     "depress_quartic",
-    "derivative",
     "evaluate",
     "find_roots",
     "format_polynomial",

@@ -87,7 +87,6 @@ class _Reduction(NamedTuple):
 
 class _Degree(NamedTuple):
     depress: Callable | None
-    removed_term: str | None
     systems: tuple[_System, ...]  # print order; the solver's own system is last
     reduction: _Reduction | None
 
@@ -95,10 +94,9 @@ class _Degree(NamedTuple):
 # Per-degree facts of the split: coefficients are the depressed (or, for a
 # quadratic, monic) ones, highest power first without the leading 1.
 _DEGREES = {
-    2: _Degree(None, None, (_System("S1", "z = x + iy", quadratic_split_residual),), None),
+    2: _Degree(None, (_System("S1", "z = x + iy", quadratic_split_residual),), None),
     3: _Degree(
         depress_cubic,
-        "quadratic",
         (
             _System("S2", "naive, z = x + iy", cubic_naive_split_residual, note=_S2_NOTE),
             _System(
@@ -112,7 +110,6 @@ _DEGREES = {
     ),
     4: _Degree(
         depress_quartic,
-        "cubic",
         (_System("S4", "z = x + iy", quartic_split_residual),),
         _Reduction("resolvent", "resolvent_coefficients", quartic_resolvent_coefficients),
     ),
@@ -416,14 +413,11 @@ def cmd_split_system(args) -> int:
     if spec.depress is None or monic[-2] == 0.0:
         # Highest power first, without the leading 1 and the term depression removes.
         coeffs = monic[-3 if spec.depress else -2 :: -1]
-    elif args.auto_depress:
-        dep = dict(vars(spec.depress(p)))
+    else:
+        dep = vars(spec.depress(p))  # a fresh record's fields, in order
         *coeffs, _ = dep.values()
         lines.append("auto-depressed: " + _fmt_fields(dep))
         diagnostics["depressed_coefficients"] = dep
-    else:
-        message = f"polynomial is not depressed (nonzero {spec.removed_term} term)"
-        raise _Refused(_EXIT_PARSE, message + "; rerun with --auto-depress")
 
     split_residuals: list[dict] = []
     if args.x is not None:
@@ -439,7 +433,7 @@ def cmd_split_system(args) -> int:
                 lines.append(f"  {system.note}")
             split_residuals.append({"system": system.name, "real_part": real, "imag_part": imag})
 
-    if args.reduce and spec.reduction is not None:
+    if spec.reduction is not None:
         values = diagnostics[spec.reduction.key] = list(spec.reduction.compute(*coeffs))
         lines.append(_fmt_reduction(spec.reduction, values))
 
@@ -542,21 +536,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_split = sub.add_parser(
         "split-system",
         parents=[json_only],
-        help="evaluate split-system residuals at a point (x, y)",
+        help="print the split systems and reduction of the depressed form, and residuals at (x, y)",
     )
     p_split.add_argument("expr", help="polynomial expression")
+    # A degree 3-4 point (x, y) is one of the depressed variable w = z + shift.
     p_split.add_argument("--x", type=finite_float, default=None, help="x of the split point")
     p_split.add_argument("--y", type=finite_float, default=None, help="y of the split point")
-    p_split.add_argument(
-        "--auto-depress",
-        action="store_true",
-        help="depress degree 3-4 input first instead of rejecting it",
-    )
-    p_split.add_argument(
-        "--reduce",
-        action="store_true",
-        help="print the naive reduction (cubics) or resolvent coefficients (quartics)",
-    )
     p_split.set_defaults(func=cmd_split_system)
 
     p_oracle = sub.add_parser(

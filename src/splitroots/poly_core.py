@@ -201,13 +201,6 @@ def horner_abs(coeffs_rev: tuple[float, ...], z: complex) -> float:
     return abs(value)
 
 
-def derivative(p: RealPolynomial) -> RealPolynomial:
-    """Coefficient-wise derivative.  Degree 1 inputs yield a constant."""
-    if p.degree < 1:
-        raise ValueError("derivative requires degree >= 1")
-    return RealPolynomial(tuple(k * c for k, c in enumerate(p.coefficients) if k > 0))
-
-
 def _monic_coefficients(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     """``coeffs``, lowest power first, over the last one; ``coeffs`` itself if that is 1."""
     lead = coeffs[-1]

@@ -26,6 +26,8 @@ GOLDEN_CASES = sorted(GOLDEN_DIR.glob("*.json"))
 CUBIC_1E300 = "z^3 + {0}z^2 + {0}z + {0}".format("1" + "0" * 300)
 # z^2 + 1e160 z + 1: the solver's roots are finite, the oracle's nan.
 WIDE_QUADRATIC = f"z^2 + 1{'0' * 160}z + 1"
+# z^4 + 1e200 z^2 + 1: already depressed, but its resolvent overflows.
+QUARTIC_1E200 = f"z^4 + 1{'0' * 200}z^2 + 1"
 # Finite inputs on which the oracle overflows.  On the cubic one root goes
 # nan beside a root whose convergence power overflows, so the record is
 # refused as non-finite; on the quadratic 1e10 / 1e-300 overflows in monic()
@@ -133,17 +135,18 @@ REFUSALS = {
         2,
         "--x and --y must be given together",
     ),
-    "split-system-not-depressed": (
-        ["split-system"],
-        "z^3 + z^2 + 1",
-        2,
-        "polynomial is not depressed (nonzero quadratic term); rerun with --auto-depress",
-    ),
     "split-system-non-finite-record": (
         ["split-system", "--x=1e200", "--y=0"],
         "z^2 + z + 1",
         4,
         _NOT_FINITE.format("z^2 + z + 1"),
+    ),
+    # split-system prints every quartic's resolvent; here its a^2/16 overflows.
+    "split-system-resolvent-overflow": (
+        ["split-system"],
+        QUARTIC_1E200,
+        4,
+        _NOT_FINITE.format(format_polynomial(parse_polynomial(QUARTIC_1E200))),
     ),
     "split-system-monic-overflow": (
         ["split-system"],
@@ -228,17 +231,30 @@ class TestExitCodes:
         assert main(["solve", "z^5 + 1"]) == 3
         assert "degree 5" in capsys.readouterr().err
 
-    def test_split_system_rejects_non_depressed(self, capsys):
-        assert main(["split-system", "w^3 - 6w^2 + 11w - 6", "--x=1", "--y=0"]) == 2
-        assert "--auto-depress" in capsys.readouterr().err
-
     def test_split_system_accepts_auto_depress(self, capsys):
-        code = main(
-            ["split-system", "w^3 - 6w^2 + 11w - 6", "--x=1", "--y=0", "--auto-depress"]
-        )
+        code = main(["split-system", "w^3 - 6w^2 + 11w - 6", "--x=1", "--y=0"])
         assert code == 0
         out = capsys.readouterr().out
         assert "auto-depressed: a = -1, b = 0, shift = -2" in out
+
+    def test_split_system_depresses_and_reduces_unasked(self, capsys):
+        # A cubic with a quadratic term is depressed and its naive reduction
+        # printed with no option; the options that once asked for either are
+        # usage errors.
+        assert main(["split-system", "w^3 - 6w^2 + 11w - 6"]) == 0
+        assert capsys.readouterr() == (
+            "polynomial: w^3 - 6w^2 + 11w - 6\n"
+            "auto-depressed: a = -1, b = 0, shift = -2\n"
+            "naive reduction (c3, c1, c0): 8, -2, 0\n",
+            "",
+        )
+        for option in ("--auto-depress", "--reduce"):
+            with pytest.raises(SystemExit) as exc:
+                main(["split-system", "w^3 - 6w^2 + 11w - 6", option])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {option}" in captured.err
 
     def test_split_system_rejects_degree_one(self, capsys):
         assert main(["split-system", "z + 1", "--x=0", "--y=0"]) == 2
@@ -615,7 +631,7 @@ class TestJsonEmit:
             ["solve", "z^3 - 7z + 6", "--json"],
             ["solve", "z^4 - 3z^3 + 1", "--json", "--show-depressed", "--oracle"],
             ["oracle", "z^2 + 1", "--json"],
-            ["split-system", "z^3 - 7z + 6", "--x=2", "--y=0", "--reduce", "--json"],
+            ["split-system", "z^3 - 7z + 6", "--x=2", "--y=0", "--json"],
         ],
     )
     def test_single_expression(self, monkeypatch, argv):
@@ -781,12 +797,12 @@ class TestTextOutput:
         assert "system S3" in out
 
     def test_reduce_prints_reduction(self, capsys):
-        main(["split-system", "z^3 - 7z + 6", "--reduce"])
+        main(["split-system", "z^3 - 7z + 6"])
         out = capsys.readouterr().out
         assert "naive reduction (c3, c1, c0): 8, -14, -6" in out
 
     def test_reduce_prints_resolvent(self, capsys):
-        main(["split-system", "z^4 - 7z^2 + 6z", "--reduce"])
+        main(["split-system", "z^4 - 7z^2 + 6z"])
         out = capsys.readouterr().out
         assert "resolvent: 1, -3.5, 3.0625, -0.5625" in out
 

@@ -14,7 +14,6 @@ from splitroots.poly_core import (
     RootSet,
     depress_cubic,
     depress_quartic,
-    derivative,
     evaluate,
     horner_with_derivative,
     reconstruct_cubic,
@@ -110,19 +109,8 @@ class TestEvaluation:
         value, deriv = horner_with_derivative(tuple(reversed(p.coefficients)), z)
         assert value == evaluate(p, z)
         if p.degree >= 1:
-            dp = derivative(p)
+            dp = RealPolynomial([k * c for k, c in enumerate(p.coefficients)][1:])
             assert abs(deriv - evaluate(dp, z)) <= 1e-9 * (1.0 + abs(deriv))
-
-    def test_derivative_coefficients(self):
-        p = RealPolynomial((6.0, -7.0, 0.0, 1.0))
-        assert derivative(p).coefficients == (-7.0, 0.0, 3.0)
-
-    def test_derivative_of_linear_is_constant(self):
-        assert derivative(RealPolynomial((4.0, 3.0))).coefficients == (3.0,)
-
-    def test_derivative_of_constant_rejected(self):
-        with pytest.raises(ValueError):
-            derivative(RealPolynomial((5.0,)))
 
 
 class TestDepression:
